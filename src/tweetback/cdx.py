@@ -12,12 +12,12 @@ a capture may be taken long after the tweet was posted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .extraction import ExtractedHandle, ScreenshotTimestamp
 from .snowflake import IdPrefixFilter, PreSnowflakeIdError, id_to_time
-from .transport import HttpStatusError, HttpTransport, RateLimitedError
+from .transport import HttpStatusError, HttpTransport, RateLimitedError, _parse_retry_after
 
 CDX_ENDPOINT = "http://web.archive.org/cdx/search/cdx"
 REPLAY_BASE = "https://web.archive.org/web/"
@@ -50,7 +50,11 @@ class ArchiveWindow:
 
 @dataclass(frozen=True)
 class CdxRecord:
-    """One row of the CDX index (default space-separated output)."""
+    """One row of the CDX index (default space-separated output).
+
+    The capture timestamp is parsed once, on construction; a malformed
+    one raises ValueError.
+    """
 
     urlkey: str
     timestamp14: str
@@ -59,6 +63,13 @@ class CdxRecord:
     statuscode: str
     digest: str
     length: str
+    archived_at: datetime = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        archived_at = _parse_timestamp14(self.timestamp14)
+        if archived_at is None:
+            raise ValueError(f"bad capture timestamp {self.timestamp14!r}")
+        object.__setattr__(self, "archived_at", archived_at)
 
 
 @dataclass(frozen=True)
@@ -105,10 +116,15 @@ def build_cdx_query(
 
 
 def _parse_timestamp14(value: str) -> datetime | None:
-    if not re.fullmatch(r"\d{14}", value):
+    """UTC datetime of a ``YYYYMMDDhhmmss`` string of ASCII digits, else None."""
+    if len(value) != 14 or not value.isascii() or not value.isdigit():
         return None
     try:
-        return datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+        return datetime(
+            int(value[:4]), int(value[4:6]), int(value[6:8]),
+            int(value[8:10]), int(value[10:12]), int(value[12:]),
+            tzinfo=timezone.utc,
+        )
     except ValueError:
         return None
 
@@ -124,13 +140,15 @@ def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
         if len(fields) != CDX_FIELD_COUNT:
             warnings.append(f"cdx line {number}: expected 7 fields, got {len(fields)}")
             continue
-        if _parse_timestamp14(fields[1]) is None:
-            warnings.append(f"cdx line {number}: bad capture timestamp {fields[1]!r}")
+        try:
+            record = CdxRecord(*fields)
+        except ValueError as err:
+            warnings.append(f"cdx line {number}: {err}")
             continue
-        if not fields[2]:
+        if not record.original_url:
             warnings.append(f"cdx line {number}: empty original URL")
             continue
-        records.append(CdxRecord(*fields))
+        records.append(record)
     return records, warnings
 
 
@@ -175,13 +193,11 @@ def filter_by_window(
             continue
         if not window.from_ts <= created_at <= window.to_ts:
             continue
-        archived_at = _parse_timestamp14(record.timestamp14)
-        assert archived_at is not None  # guaranteed by parse_cdx_response
         candidates.append(
             CandidateRef(
                 replay_url=f"{REPLAY_BASE}{record.timestamp14}/{record.original_url}",
                 tweet_id=tweet_id,
-                archived_at=archived_at,
+                archived_at=record.archived_at,
             )
         )
     return candidates, warnings
@@ -195,8 +211,8 @@ def fetch_cdx(query: str, transport: HttpTransport) -> str:
     """
     response = transport.get(query)
     if response.status == 429:
-        retry_after = response.headers.get("Retry-After")
-        raise RateLimitedError(query, float(retry_after) if retry_after else None)
+        retry_after = _parse_retry_after(response.headers.get("Retry-After"))
+        raise RateLimitedError(query, retry_after)
     if response.status != 200:
         raise HttpStatusError(response.status, query)
     return response.body

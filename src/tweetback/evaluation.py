@@ -18,10 +18,10 @@ from enum import Enum
 from pathlib import Path
 
 from .extraction import ExtractedFields
-from .matching import Verdict, VerdictKind
+from .matching import Verdict, VerdictKind, decide_scored
 from .ocr import load_text_document
-from .pipeline import PipelineConfig, TransportMode, VerdictReport, run_pipeline
-from .transport import FixtureMissingError
+from .pipeline import PipelineConfig, TransportMode, run_pipeline
+from .transport import FixtureMissingError, FixtureTransport
 
 EVALUATION_THRESHOLDS = (0.80, 0.90)
 
@@ -326,36 +326,39 @@ def run_evaluation(
     missing_fixtures: list[str] = []
     excluded_non_replayable = 0
 
+    # One pipeline run per doc. Its top_scores are sorted by the key that
+    # decide_scored minimises, so the verdict at every threshold follows
+    # from them and the run's replay failures.
+    fixtures_dir = corpus_dir / FIXTURES_SUBDIR
+    transport = FixtureTransport(fixtures_dir)
+    run_config = PipelineConfig(
+        threshold=EVALUATION_THRESHOLDS[0],
+        window_hours=base_config.window_hours,
+        transport_mode=TransportMode.fixture(fixtures_dir),
+        max_parallel_replays=base_config.max_parallel_replays,
+        top_scores=max(1, base_config.top_scores),
+    )
     for path in ocr_files:
         truth = truths.get(path.stem)
         if truth is None:
             continue
         doc = load_text_document(path)
-        reports: dict[float, VerdictReport] = {}
         try:
-            for threshold in EVALUATION_THRESHOLDS:
-                run_config = PipelineConfig(
-                    threshold=threshold,
-                    window_hours=base_config.window_hours,
-                    transport_mode=TransportMode.fixture(corpus_dir / FIXTURES_SUBDIR),
-                    max_parallel_replays=base_config.max_parallel_replays,
-                    top_scores=base_config.top_scores,
-                )
-                reports[threshold] = run_pipeline(doc, run_config)
+            report = run_pipeline(doc, run_config, transport)
         except FixtureMissingError:
             missing_fixtures.append(path.stem)
             continue
-        scored_extraction.append((reports[EVALUATION_THRESHOLDS[0]].fields, truth))
+        scored_extraction.append((report.fields, truth))
         if truth.archive_state is ArchiveState.NON_REPLAYABLE:
             excluded_non_replayable += 1
-        for threshold, report in reports.items():
-            verdicts_by_threshold[threshold].append((report.verdict, truth))
-        primary = reports[EVALUATION_THRESHOLDS[0]]
-        for method, count in primary.replay_methods.items():
+        failures = list(report.verdict.failures)
+        for threshold, pairs in verdicts_by_threshold.items():
+            pairs.append((decide_scored(report.top_scores, failures, threshold), truth))
+        for method, count in report.replay_methods.items():
             coverage[method] = coverage.get(method, 0) + count
-        if primary.replay_failures:
+        if report.replay_failures:
             coverage["replay_failures"] = (
-                coverage.get("replay_failures", 0) + primary.replay_failures
+                coverage.get("replay_failures", 0) + report.replay_failures
             )
 
     timestamp_metrics, handle_metrics = score_extraction(scored_extraction)

@@ -9,7 +9,11 @@ that would need script execution to render fall out as failures, which
 is the same bucket as captures that never replay at all.
 
 Parsing is done with the standard library's error-recovering HTMLParser,
-since archived pages are frequently truncated or malformed.
+since archived pages are frequently truncated or malformed. A page is read
+only as far as the answer: the toolbar the Wayback Machine inserts into
+plain replays is skipped, and the scan stops at the end of the first
+non-empty ``tweet-text`` element, since nothing after it can change the
+result.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ REPLAY_HOST = "web.archive.org"
 _VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
+
+TOOLBAR_BEGIN = "<!-- BEGIN WAYBACK TOOLBAR INSERT -->"
+TOOLBAR_END = "<!-- END WAYBACK TOOLBAR INSERT -->"
 
 _QUOTE_PAIRS = (("“", "”"), ('"', '"'), ("‘", "’"), ("'", "'"))
 
@@ -81,8 +88,17 @@ class ReplayFailure:
     reason: FailureReason
 
 
+class _TweetTextFound(Exception):
+    """The first tweet-text element closed with text; the scan can stop."""
+
+
 class _PageScan(HTMLParser):
-    """Single-pass scan for the three extraction strategies."""
+    """Single-pass scan for the three extraction strategies.
+
+    Raises _TweetTextFound once the first ``tweet-text`` element closes
+    with non-whitespace text, because that element outranks every later
+    strategy.
+    """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -139,6 +155,9 @@ class _PageScan(HTMLParser):
                 pass
             if not self._capture_stack:
                 self._capture_done = True
+                assert self.tweet_text_parts is not None
+                if _collapse("".join(self.tweet_text_parts)):
+                    raise _TweetTextFound
 
     def handle_data(self, data: str) -> None:
         if self._in_json_ld:
@@ -197,10 +216,17 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
     page's description meta tags, then a JSON-LD article body. A strategy
     that yields only whitespace does not count as a success. Raises
     NoTweetTextFound when every strategy comes up empty.
+
+    A Wayback toolbar insert (BEGIN marker, then a later END marker) is
+    the archive's own markup, not the capture's, and is not parsed.
     """
     scan = _PageScan()
-    scan.feed(html)
-    scan.close()
+    try:
+        for part in _without_toolbar(html):
+            scan.feed(part)
+        scan.close()
+    except _TweetTextFound:
+        pass
 
     if scan.tweet_text_parts is not None:
         text = _collapse("".join(scan.tweet_text_parts))
@@ -220,6 +246,16 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
             return text, ExtractionMethod.JSON_LD
 
     raise NoTweetTextFound("no tweet text in replayed page")
+
+
+def _without_toolbar(html: str) -> tuple[str, ...]:
+    begin = html.find(TOOLBAR_BEGIN)
+    if begin < 0:
+        return (html,)
+    end = html.find(TOOLBAR_END, begin + len(TOOLBAR_BEGIN))
+    if end < 0:
+        return (html,)
+    return html[:begin], html[end + len(TOOLBAR_END):]
 
 
 def _header(response: HttpResponse, name: str) -> str | None:

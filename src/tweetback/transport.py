@@ -16,6 +16,8 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -195,12 +197,25 @@ class LiveTransport(HttpTransport):
 
 
 def _parse_retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a ``Retry-After`` value (RFC 9110 §10.2.3).
+
+    The value is either a number of seconds or an HTTP-date; a date
+    becomes the seconds from now until then, floored at 0. Anything
+    else gives None.
+    """
     if value is None:
         return None
     try:
         return float(value)
     except ValueError:
+        pass
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
         return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 class FixtureTransport(HttpTransport):

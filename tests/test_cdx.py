@@ -18,6 +18,7 @@ from tweetback.cdx import (
     filter_by_window,
     parse_cdx_response,
 )
+from tweetback.cdx import _parse_timestamp14
 from tweetback.extraction import ExtractedHandle, ScreenshotTimestamp
 from tweetback.snowflake import common_prefix_filter, id_to_time, time_to_id_bounds
 from tweetback.transport import HttpStatusError, NetworkError, RateLimitedError
@@ -124,6 +125,53 @@ class TestParse:
         line = cdx_line("x", 1523141006509502470, "20220509011257")
         records, warnings = parse_cdx_response(f"\n{line}\n\n")
         assert len(records) == 1 and warnings == []
+
+
+def _strptime_or_none(value: str) -> datetime | None:
+    try:
+        return datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=UTC)
+    except ValueError:
+        return None
+
+
+class TestParseTimestamp14:
+    @given(st.text(alphabet="0123456789２٣ ", min_size=14, max_size=14))
+    def test_matches_strptime_on_ascii_digits(self, value):
+        # strptime reads Unicode digits and space-padded days; CDX
+        # timestamps are ASCII digits only, so anything else is rejected.
+        expected = _strptime_or_none(value) if value.isascii() and value.isdigit() else None
+        assert _parse_timestamp14(value) == expected
+
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)))
+    def test_round_trips_every_valid_moment(self, moment):
+        value = f"{moment:%Y%m%d%H%M%S}".rjust(14, "0")
+        assert _parse_timestamp14(value) == moment.replace(microsecond=0, tzinfo=UTC)
+
+    @pytest.mark.parametrize("value", [
+        "２０２２0509011257",  # fullwidth year: strptime accepts it
+        "202205 9011257",  # space-padded day: strptime accepts it
+        "20220230000000",  # February 30th
+        "20220509011260",  # second 60
+        "00000509011257",  # year 0
+        "2022050901125",
+        "202205090112570",
+        "+2022050901125",
+    ])
+    def test_rejects(self, value):
+        assert _parse_timestamp14(value) is None
+
+    def test_bad_timestamp_in_row_warns(self):
+        records, warnings = parse_cdx_response("a ２０２２0509011257 u text/html 200 D 1")
+        assert records == []
+        assert warnings == ["cdx line 1: bad capture timestamp '２０２２0509011257'"]
+
+    def test_record_carries_parsed_timestamp(self):
+        records, _ = parse_cdx_response(cdx_line("p", 1523141006509502470, "20220509011257"))
+        assert records[0].archived_at == datetime(2022, 5, 9, 1, 12, 57, tzinfo=UTC)
+
+    def test_record_rejects_bad_timestamp(self):
+        with pytest.raises(ValueError):
+            CdxRecord("k", "20221301000000", "u", "text/html", "200", "D", "1")
 
 
 class TestDedup:
@@ -247,6 +295,15 @@ class TestFetchCdx:
         with pytest.raises(RateLimitedError) as excinfo:
             fetch_cdx(self.QUERY, transport)
         assert excinfo.value.retry_after == 30.0
+
+    def test_rate_limited_with_http_date(self):
+        transport = StubTransport().add(
+            self.QUERY, body="slow down", status=429,
+            headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"},
+        )
+        with pytest.raises(RateLimitedError) as excinfo:
+            fetch_cdx(self.QUERY, transport)
+        assert excinfo.value.retry_after == 0
 
     def test_network_error_propagates(self):
         transport = StubTransport().add_error(self.QUERY, NetworkError("boom"))

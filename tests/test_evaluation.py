@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+import tweetback.evaluation
 from tweetback.cdx import CandidateRef
 from tweetback.evaluation import (
     ArchiveState,
@@ -19,6 +20,7 @@ from tweetback.evaluation import (
 )
 from tweetback.extraction import ExtractedFields, ExtractedHandle, ScreenshotTimestamp
 from tweetback.matching import MatchResult, Verdict, VerdictKind
+from tweetback.pipeline import PipelineConfig
 from tweetback.replay import CandidateTweet, ExtractionMethod
 
 UTC = timezone.utc
@@ -223,6 +225,30 @@ class TestRunEvaluation:
         got = report.to_dict()
         got["corpus_dir"] = "tests/data/eval_corpus"
         assert got == golden
+
+    def test_one_pipeline_run_and_one_transport_per_corpus(self, eval_corpus_dir, monkeypatch):
+        runs: list[str] = []
+        opened: list[object] = []
+        run_pipeline = tweetback.evaluation.run_pipeline
+        fixture_transport = tweetback.evaluation.FixtureTransport
+
+        def counting_run(doc, *args, **kwargs):
+            runs.append(doc.source_id)
+            return run_pipeline(doc, *args, **kwargs)
+
+        def counting_open(directory):
+            opened.append(directory)
+            return fixture_transport(directory)
+
+        monkeypatch.setattr(tweetback.evaluation, "run_pipeline", counting_run)
+        monkeypatch.setattr(tweetback.evaluation, "FixtureTransport", counting_open)
+        report = run_evaluation(eval_corpus_dir)
+        assert sorted(runs) == sorted(set(runs)) and len(runs) == report.record_count
+        assert len(opened) == 1
+
+    def test_verdicts_do_not_depend_on_top_scores(self, eval_corpus_dir):
+        default = run_evaluation(eval_corpus_dir).to_dict()
+        assert run_evaluation(eval_corpus_dir, PipelineConfig(top_scores=0)).to_dict() == default
 
     def test_threshold_monotonicity_on_corpus(self, eval_corpus_dir):
         report = run_evaluation(eval_corpus_dir)

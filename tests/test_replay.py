@@ -3,10 +3,14 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import StubTransport, jsonld_tweet_html, legacy_tweet_html, meta_tweet_html
 from tweetback.cdx import CandidateRef
 from tweetback.replay import (
+    TOOLBAR_BEGIN,
+    TOOLBAR_END,
     CandidateTweet,
     ExtractionMethod,
     FailureReason,
@@ -16,6 +20,7 @@ from tweetback.replay import (
     fetch_replay,
     resolve_candidate,
 )
+from tweetback.replay import _PageScan, _TweetTextFound
 from tweetback.transport import NetworkError
 
 REF = CandidateRef(
@@ -126,6 +131,123 @@ class TestExtractArchivedText:
     def test_deterministic(self):
         html = legacy_tweet_html("same text every time")
         assert extract_archived_text(html) == extract_archived_text(html)
+
+
+# Markup fragments that touch every branch of the page scan; tweet-text
+# elements and description metas are included so a fragment can compete.
+_FRAGMENTS = st.sampled_from([
+    '<p class="tweet-text">fragment text</p>',
+    '<p class="tweet-text">  </p>',
+    '<div class="tweet-text">open',
+    "</div>",
+    "</p>",
+    '<meta property="og:description" content="fragment meta">',
+    '<meta name="description" content="plain meta">',
+    jsonld_tweet_html("fragment json"),
+    '<script>var x = "<p class=tweet-text>";</script>',
+    "<br>",
+    "<span>words &amp; more</span>",
+    "<!-- a comment -->",
+    "<p",
+])
+# The ones that open no tweet-text element and leave no tag half-written.
+_CLOSED_FRAGMENTS = _FRAGMENTS.filter(lambda f: "tweet-text" not in f and f != "<p")
+
+
+class TestEarlyExit:
+    def test_whitespace_only_element_falls_through_to_json_ld(self):
+        html = (
+            '<p class="tweet-text">  <br> </p>'
+            '<p class="tweet-text">second element</p>'
+            + jsonld_tweet_html("json text")
+        )
+        assert extract_archived_text(html) == ("json text", ExtractionMethod.JSON_LD)
+
+    def test_second_element_after_meta_ignored(self):
+        html = (
+            '<p class="tweet-text">first</p>'
+            '<meta property="og:description" content="meta text">'
+            '<p class="tweet-text">second</p>'
+        )
+        assert extract_archived_text(html) == ("first", ExtractionMethod.TWEET_TEXT_ELEMENT)
+
+    def test_scan_stops_when_element_closes(self):
+        scan = _PageScan()
+        with pytest.raises(_TweetTextFound):
+            scan.feed(
+                '<p class="tweet-text">found</p>'
+                '<meta property="og:description" content="never read">'
+            )
+        assert scan.og_description is None
+
+    def test_unclosed_element_on_truncated_page(self):
+        html = (
+            '<div class="tweet-text">partial <b>text'
+            '<meta property="og:description" content="meta text">'
+        )
+        assert extract_archived_text(html) == (
+            "partial text", ExtractionMethod.TWEET_TEXT_ELEMENT
+        )
+
+    def test_unclosed_whitespace_element_on_truncated_page(self):
+        html = '<div class="tweet-text">  <meta property="og:description" content="meta">'
+        assert extract_archived_text(html) == ("meta", ExtractionMethod.META_DESCRIPTION)
+
+    @given(st.lists(_CLOSED_FRAGMENTS, max_size=8), st.lists(_FRAGMENTS, max_size=8))
+    def test_markup_after_closed_element_never_matters(self, before, after):
+        html = "".join(before) + '<p class="tweet-text">the answer</p>' + "".join(after)
+        assert extract_archived_text(html) == (
+            "the answer", ExtractionMethod.TWEET_TEXT_ELEMENT
+        )
+
+
+def _with_toolbar(page: str, inner: str) -> str:
+    return page.replace("<body>", f"<body>{TOOLBAR_BEGIN}{inner}{TOOLBAR_END}", 1)
+
+
+class TestToolbarSkipped:
+    def test_tweet_text_inside_toolbar_ignored(self):
+        inner = '<div id="wm-ipp"><p class="tweet-text">toolbar chrome</p></div>'
+        html = _with_toolbar(legacy_tweet_html("the real tweet"), inner)
+        assert extract_archived_text(html) == (
+            "the real tweet", ExtractionMethod.TWEET_TEXT_ELEMENT
+        )
+
+    def test_og_description_inside_toolbar_ignored(self):
+        inner = '<meta property="og:description" content="toolbar chrome">'
+        html = _with_toolbar(jsonld_tweet_html("from the json island"), inner)
+        assert extract_archived_text(html) == (
+            "from the json island", ExtractionMethod.JSON_LD
+        )
+
+    def test_toolbar_alone_is_not_tweet_text(self):
+        html = f'<body>{TOOLBAR_BEGIN}<p class="tweet-text">chrome</p>{TOOLBAR_END}</body>'
+        with pytest.raises(NoTweetTextFound):
+            extract_archived_text(html)
+
+    def test_begin_without_end_parses_whole_page(self):
+        html = f'<body>{TOOLBAR_BEGIN}<p class="tweet-text">inside</p></body>'
+        assert extract_archived_text(html)[0] == "inside"
+
+    def test_end_before_begin_parses_whole_page(self):
+        # truncated inside the element: any markup read twice would show
+        html = f'<body>{TOOLBAR_END}<div class="tweet-text">between {TOOLBAR_BEGIN}'
+        assert extract_archived_text(html)[0] == "between"
+
+    @given(st.lists(_FRAGMENTS, max_size=8), st.lists(_FRAGMENTS, max_size=8))
+    def test_toolbar_content_never_matters(self, page, toolbar):
+        bare = "<html><head></head><body>" + "".join(page) + "</body></html>"
+        toolbar_html = "<div>" + "".join(toolbar) + "</div>"
+        try:
+            expected = extract_archived_text(bare)
+        except NoTweetTextFound:
+            expected = None
+        try:
+            got = extract_archived_text(_with_toolbar(bare, toolbar_html))
+        except NoTweetTextFound:
+            got = None
+        assert got == expected
+
 
 
 class TestFetchReplay:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import threading
 import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
@@ -14,6 +16,7 @@ from tweetback.transport import (
     fixture_key,
     write_fixture,
 )
+from tweetback.transport import _parse_retry_after
 
 
 class TestFixtureRoundTrip:
@@ -160,3 +163,17 @@ class TestLiveTransportPoliteness:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestParseRetryAfter:
+    @pytest.mark.parametrize("value, expected", [
+        (None, None), ("", None), ("soon", None), ("30", 30.0), ("0", 0.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+    ])
+    def test_values(self, value, expected):
+        assert _parse_retry_after(value) == expected
+
+    def test_future_http_date_is_seconds_from_now(self):
+        when = datetime.now(timezone.utc) + timedelta(seconds=120)
+        seconds = _parse_retry_after(format_datetime(when, usegmt=True))
+        assert 100 < seconds <= 120
