@@ -17,7 +17,6 @@ from .matching import (
     Verdict,
     VerdictKind,
     chunk_scores,
-    decide,
     normalize,
     overlap_score,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_window",
     "chunk_scores",
     "common_prefix_filter",
-    "decide",
     "extract_archived_text",
     "extract_fields",
     "extract_handle",

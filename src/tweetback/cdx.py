@@ -152,26 +152,19 @@ def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
     return records, warnings
 
 
-def dedup_candidates(
-    records: list[CdxRecord], from_ts14: str | None = None
-) -> list[CdxRecord]:
-    """Keep one capture per original URL, sorted by URL.
+def dedup_candidates(records: list[CdxRecord]) -> list[CdxRecord]:
+    """Keep the earliest capture of each original URL, sorted by URL.
 
-    Preference goes to the earliest capture at or after the window start
-    (most likely to replay the original content), falling back to the
-    earliest capture overall.
+    The earliest capture is the most likely to replay the original
+    content. No capture predates the window: the query's ``from=`` drops
+    every earlier row.
     """
     best: dict[str, CdxRecord] = {}
     for record in records:
         current = best.get(record.original_url)
-        if current is None or _capture_rank(record, from_ts14) < _capture_rank(current, from_ts14):
+        if current is None or record.timestamp14 < current.timestamp14:
             best[record.original_url] = record
     return [best[url] for url in sorted(best)]
-
-
-def _capture_rank(record: CdxRecord, from_ts14: str | None) -> tuple[int, str]:
-    in_window = 0 if from_ts14 is None or record.timestamp14 >= from_ts14 else 1
-    return in_window, record.timestamp14
 
 
 def filter_by_window(
@@ -211,7 +204,7 @@ def fetch_cdx(query: str, transport: HttpTransport) -> str:
     """
     response = transport.get(query)
     if response.status == 429:
-        retry_after = _parse_retry_after(response.headers.get("Retry-After"))
+        retry_after = _parse_retry_after(response.header("Retry-After"))
         raise RateLimitedError(query, retry_after)
     if response.status != 200:
         raise HttpStatusError(response.status, query)

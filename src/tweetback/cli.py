@@ -53,17 +53,21 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"tweetback {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    defaults = PipelineConfig()
     verify = commands.add_parser("verify", help="verify a screenshot against the Wayback Machine")
     _add_input_flags(verify)
-    verify.add_argument("--threshold", type=float, default=0.80,
-                        help="text-overlap score required for a match (default 0.80)")
-    verify.add_argument("--window-hours", type=int, default=26,
-                        help="half-width of the archival search window (default 26)")
+    verify.add_argument("--threshold", type=float, default=defaults.threshold,
+                        help="text-overlap score required for a match "
+                             f"(default {defaults.threshold:.2f})")
+    verify.add_argument("--window-hours", type=int, default=defaults.window_hours,
+                        help="half-width of the archival search window "
+                             f"(default {defaults.window_hours})")
     verify.add_argument("--fixtures", metavar="DIR", help="replay recorded HTTP fixtures")
     verify.add_argument("--record", metavar="DIR", help="hit the live web, recording fixtures")
     verify.add_argument("--json", metavar="PATH", help="also write the JSON report here")
-    verify.add_argument("--top", type=int, default=5, metavar="N",
-                        help="candidate scores to include in the report (default 5)")
+    verify.add_argument("--top", type=int, default=defaults.top_scores, metavar="N",
+                        help="candidate scores to include in the report "
+                             f"(default {defaults.top_scores})")
 
     extract = commands.add_parser("extract", help="run field extraction only, print JSON")
     _add_input_flags(extract)
@@ -125,18 +129,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     doc = _load_document(args)
-    fields = extract_fields(doc)
-    print(json.dumps({
-        "source_id": doc.source_id,
-        "handle": fields.handle.handle if fields.handle else None,
-        "handle_complete": fields.handle.complete if fields.handle else None,
-        "timestamp": fields.timestamp.as_datetime().isoformat() if fields.timestamp else None,
-        "timestamp_has_time_of_day": (
-            fields.timestamp.has_time_of_day if fields.timestamp else None
-        ),
-        "tweet_text": fields.tweet_text,
-        "text_is_fallback": fields.text_is_fallback,
-    }, indent=2, sort_keys=True, ensure_ascii=False))
+    payload = {"source_id": doc.source_id, **extract_fields(doc).to_dict()}
+    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
     return 0
 
 

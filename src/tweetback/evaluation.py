@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -20,7 +20,7 @@ from pathlib import Path
 from .extraction import ExtractedFields
 from .matching import Verdict, VerdictKind, decide_scored
 from .ocr import load_text_document
-from .pipeline import PipelineConfig, TransportMode, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .transport import FixtureMissingError, FixtureTransport
 
 EVALUATION_THRESHOLDS = (0.80, 0.90)
@@ -329,13 +329,10 @@ def run_evaluation(
     # One pipeline run per doc. Its top_scores are sorted by the key that
     # decide_scored minimises, so the verdict at every threshold follows
     # from them and the run's replay failures.
-    fixtures_dir = corpus_dir / FIXTURES_SUBDIR
-    transport = FixtureTransport(fixtures_dir)
-    run_config = PipelineConfig(
+    transport = FixtureTransport(corpus_dir / FIXTURES_SUBDIR)
+    run_config = replace(
+        base_config,
         threshold=EVALUATION_THRESHOLDS[0],
-        window_hours=base_config.window_hours,
-        transport_mode=TransportMode.fixture(fixtures_dir),
-        max_parallel_replays=base_config.max_parallel_replays,
         top_scores=max(1, base_config.top_scores),
     )
     for path in ocr_files:

@@ -19,7 +19,6 @@ from datetime import date, datetime, timezone
 from .ocr import OcrDocument
 
 FOUNDING_YEAR = 2006
-MAX_HANDLE_LENGTH = 15
 
 _MONTHS = {
     "jan": 1, "january": 1,
@@ -67,8 +66,6 @@ _TIME_RE = re.compile(
 # Whitespace with at most one interpunct or dash may separate a time-of-day
 # token from its date on the same line.
 _TIME_GAP_RE = re.compile(r"[ \t]*[·\-]?[ \t]*")
-
-_HANDLE_BODY_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -130,16 +127,17 @@ class ExtractedFields:
         if self.text_is_fallback != (self.handle is None or self.timestamp is None):
             raise ValueError("text_is_fallback must track missing handle/timestamp")
 
-
-def _valid_date(year: int, month: int, day: int) -> bool:
-    current_year = datetime.now(timezone.utc).year
-    if not (FOUNDING_YEAR <= year <= current_year and 1 <= month <= 12 and 1 <= day <= 31):
-        return False
-    try:
-        date(year, month, day)
-    except ValueError:
-        return False
-    return True
+    def to_dict(self) -> dict:
+        """The JSON form shared by the verdict report and ``tweetback extract``."""
+        handle, ts = self.handle, self.timestamp
+        return {
+            "handle": handle.handle if handle else None,
+            "handle_complete": handle.complete if handle else None,
+            "timestamp": ts.as_datetime().isoformat() if ts else None,
+            "timestamp_has_time_of_day": ts.has_time_of_day if ts else None,
+            "tweet_text": self.tweet_text,
+            "text_is_fallback": self.text_is_fallback,
+        }
 
 
 def _date_fields(match: re.Match) -> tuple[int, int, int]:
@@ -198,22 +196,23 @@ def extract_timestamp(doc: OcrDocument) -> ScreenshotTimestamp | None:
                 text = match.group(0)
                 if len(text) < 6 or sum(c.isdigit() for c in text) < 4:
                     continue
-                year, month, day = _date_fields(match)
-                if not _valid_date(year, month, day):
-                    continue
                 position = (index, match.start())
                 if position <= best_position:
                     continue
+                year, month, day = _date_fields(match)
                 tod = _adjacent_time(line, match.start(), match.end())
-                best = ScreenshotTimestamp(
-                    year=year,
-                    month=month,
-                    day=day,
-                    hour=tod[0] if tod else 0,
-                    minute=tod[1] if tod else 0,
-                    has_time_of_day=tod is not None,
-                    source_line_index=index,
-                )
+                try:
+                    best = ScreenshotTimestamp(
+                        year=year,
+                        month=month,
+                        day=day,
+                        hour=tod[0] if tod else 0,
+                        minute=tod[1] if tod else 0,
+                        has_time_of_day=tod is not None,
+                        source_line_index=index,
+                    )
+                except ValueError:
+                    continue
                 best_position = position
     return best
 
@@ -234,11 +233,12 @@ def extract_handle(doc: OcrDocument) -> ExtractedHandle | None:
             body = token[1:]
             truncated = body.endswith("…") or body.endswith("...")
             body = re.sub(r"[^A-Za-z0-9_]+$", "", body)
-            if not _HANDLE_BODY_RE.fullmatch(body):
+            try:
+                return ExtractedHandle(
+                    handle=body, complete=not truncated, source_line_index=index
+                )
+            except ValueError:
                 return None
-            if len(body) > MAX_HANDLE_LENGTH:
-                return None
-            return ExtractedHandle(handle=body, complete=not truncated, source_line_index=index)
     return None
 
 

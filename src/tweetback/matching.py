@@ -11,11 +11,10 @@ tweet really was posted.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .replay import CandidateTweet, ReplayFailure
+from .replay import CandidateTweet, ReplayFailure, collapse_whitespace
 
 DEFAULT_THRESHOLD = 0.80
 
@@ -24,8 +23,6 @@ _QUOTE_MAP = str.maketrans({
     "“": '"', "”": '"', "„": '"', "‟": '"',
 })
 
-_WHITESPACE_RE = re.compile(r"\s+")
-
 
 class InvalidThresholdError(ValueError):
     """Threshold must lie in (0, 1]."""
@@ -33,7 +30,7 @@ class InvalidThresholdError(ValueError):
 
 def normalize(text: str) -> str:
     """Lowercase, fold typographic quotes to ASCII, collapse whitespace runs."""
-    return _WHITESPACE_RE.sub(" ", text.lower().translate(_QUOTE_MAP)).strip()
+    return collapse_whitespace(text.lower().translate(_QUOTE_MAP))
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -109,32 +106,21 @@ class Verdict:
             raise ValueError("archived evidence must clear the threshold")
 
 
+def _rank(result: MatchResult) -> tuple:
+    """Best first: highest score, then earliest capture, then replay URL."""
+    ref = result.candidate.ref
+    return -result.score, ref.archived_at, ref.replay_url
+
+
 def score_candidates(
     screenshot_text: str, candidates: list[CandidateTweet]
 ) -> list[MatchResult]:
-    """Chunked overlap score for every candidate, in input order."""
+    """Chunked overlap score for every candidate, best first."""
     results = []
     for candidate in candidates:
         score, best_chunk = chunk_scores(screenshot_text, candidate.extracted_text)
         results.append(MatchResult(candidate=candidate, score=score, best_chunk=best_chunk))
-    return results
-
-
-def decide(
-    screenshot_text: str,
-    candidates: list[CandidateTweet],
-    failures: list[ReplayFailure],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Verdict:
-    """Pick the best-matching candidate and turn it into a verdict.
-
-    Archived when the best score clears the threshold (ties broken by
-    earliest capture, then replay URL); NonReplayable when every in-window
-    candidate failed to replay; NotFound otherwise.
-    """
-    return decide_scored(
-        score_candidates(screenshot_text, candidates), failures, threshold
-    )
+    return sorted(results, key=_rank)
 
 
 def decide_scored(
@@ -142,14 +128,15 @@ def decide_scored(
     failures: list[ReplayFailure],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Verdict:
-    """decide() over candidates that are already scored."""
+    """Turn scored candidates into a verdict.
+
+    Archived when the best-ranked result clears the threshold;
+    NonReplayable when every in-window candidate failed to replay;
+    NotFound otherwise.
+    """
     if not 0 < threshold <= 1:
         raise InvalidThresholdError(f"threshold {threshold} outside (0, 1]")
-    best = min(
-        results,
-        key=lambda r: (-r.score, r.candidate.ref.archived_at, r.candidate.ref.replay_url),
-        default=None,
-    )
+    best = min(results, key=_rank, default=None)
     if best is not None and best.score >= threshold:
         return Verdict(
             kind=VerdictKind.ARCHIVED,

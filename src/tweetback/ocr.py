@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .transport import HttpTransport, LiveTransport, NetworkError
+from .transport import HttpTransport, LiveTransport
 
 
 class InvalidEncodingError(ValueError):
@@ -119,7 +119,6 @@ __all__ = [
     "OcrDocument",
     "OcrServiceConfig",
     "OcrServiceError",
-    "NetworkError",
     "load_text_document",
     "ocr_image",
 ]

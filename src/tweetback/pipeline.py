@@ -19,16 +19,13 @@ from pathlib import Path
 from . import cdx, matching, replay, snowflake
 from .extraction import ExtractedFields, extract_fields
 from .matching import Verdict, VerdictKind
-from .ocr import OcrDocument, OcrServiceConfig
-from .transport import (
-    FixtureTransport,
-    HttpTransport,
-    LiveTransport,
-    NetworkError,
-    RecordingTransport,
-)
+from .ocr import OcrDocument
+from .transport import FixtureTransport, HttpTransport, LiveTransport, RecordingTransport
 
 SCHEMA_VERSION = "1"
+
+# Replays in flight at once when there are two or more (see _resolve_all).
+REPLAY_WORKERS = 2
 
 
 class ConfigError(ValueError):
@@ -61,9 +58,7 @@ class PipelineConfig:
     threshold: float = matching.DEFAULT_THRESHOLD
     window_hours: int = 26
     transport_mode: TransportMode = field(default_factory=TransportMode.live)
-    ocr: OcrServiceConfig | None = None
     politeness_delay: float = 1.0
-    max_parallel_replays: int = 2
     top_scores: int = 5
 
     def validate(self) -> None:
@@ -71,8 +66,6 @@ class PipelineConfig:
             raise ConfigError(f"threshold {self.threshold} outside (0, 1]")
         if self.window_hours < 1:
             raise ConfigError("window_hours must be at least 1")
-        if self.max_parallel_replays < 1:
-            raise ConfigError("max_parallel_replays must be at least 1")
         if self.transport_mode.kind not in ("live", "fixture", "record"):
             raise ConfigError(f"unknown transport mode {self.transport_mode.kind!r}")
         if self.transport_mode.kind != "live" and self.transport_mode.path is None:
@@ -116,7 +109,6 @@ class VerdictReport:
             raise ValueError("replayed_ok + replay_failures must equal in_window")
 
     def to_dict(self) -> dict:
-        fields = self.fields
         evidence = None
         if self.verdict.evidence is not None:
             evidence = _match_dict(self.verdict.evidence)
@@ -124,18 +116,7 @@ class VerdictReport:
             "schema_version": SCHEMA_VERSION,
             "generated_at": self.generated_at.isoformat(),
             "source_id": self.source_id,
-            "extraction": {
-                "handle": fields.handle.handle if fields.handle else None,
-                "handle_complete": fields.handle.complete if fields.handle else None,
-                "timestamp": (
-                    fields.timestamp.as_datetime().isoformat() if fields.timestamp else None
-                ),
-                "timestamp_has_time_of_day": (
-                    fields.timestamp.has_time_of_day if fields.timestamp else None
-                ),
-                "tweet_text": fields.tweet_text,
-                "text_is_fallback": fields.text_is_fallback,
-            },
+            "extraction": self.fields.to_dict(),
             "window": {
                 "from": self.window_from.isoformat() if self.window_from else None,
                 "to": self.window_to.isoformat() if self.window_to else None,
@@ -194,7 +175,7 @@ def _short_circuit(
 
 
 def _resolve_all(
-    refs: list[cdx.CandidateRef], transport: HttpTransport, max_workers: int
+    refs: list[cdx.CandidateRef], transport: HttpTransport
 ) -> list[replay.CandidateTweet | replay.ReplayFailure]:
     """Resolve every candidate, in ``refs`` order.
 
@@ -205,7 +186,7 @@ def _resolve_all(
     """
     if len(refs) < 2:
         return [replay.resolve_candidate(ref, transport) for ref in refs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=REPLAY_WORKERS) as pool:
         return list(pool.map(lambda ref: replay.resolve_candidate(ref, transport), refs))
 
 
@@ -245,13 +226,13 @@ def run_pipeline(
     body = cdx.fetch_cdx(query, transport)
     records, parse_warnings = cdx.parse_cdx_response(body)
     warnings.extend(parse_warnings)
-    deduped = cdx.dedup_candidates(records, from_ts14=window.from_cdx14)
+    deduped = cdx.dedup_candidates(records)
     refs, filter_warnings = cdx.filter_by_window(deduped, window)
     warnings.extend(filter_warnings)
 
     candidates: list[replay.CandidateTweet] = []
     failures: list[replay.ReplayFailure] = []
-    for outcome in _resolve_all(refs, transport, config.max_parallel_replays):
+    for outcome in _resolve_all(refs, transport):
         if isinstance(outcome, replay.CandidateTweet):
             candidates.append(outcome)
         else:
@@ -259,10 +240,6 @@ def run_pipeline(
 
     scored = matching.score_candidates(fields.tweet_text, candidates)
     verdict = matching.decide_scored(scored, failures, config.threshold)
-    scored = sorted(
-        scored,
-        key=lambda m: (-m.score, m.candidate.ref.archived_at, m.candidate.ref.replay_url),
-    )
     methods: dict[str, int] = {}
     for candidate in candidates:
         key = candidate.extraction_method.value
@@ -288,7 +265,6 @@ def run_pipeline(
 
 __all__ = [
     "ConfigError",
-    "NetworkError",
     "PipelineConfig",
     "SCHEMA_VERSION",
     "TransportMode",

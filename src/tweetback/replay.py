@@ -26,7 +26,7 @@ from html.parser import HTMLParser
 from urllib.parse import urljoin, urlparse
 
 from .cdx import CandidateRef
-from .transport import HttpResponse, HttpTransport, NetworkError, TransportError
+from .transport import HttpTransport, NetworkError, TransportError
 
 MAX_REDIRECT_HOPS = 5
 
@@ -40,6 +40,8 @@ TOOLBAR_BEGIN = "<!-- BEGIN WAYBACK TOOLBAR INSERT -->"
 TOOLBAR_END = "<!-- END WAYBACK TOOLBAR INSERT -->"
 
 _QUOTE_PAIRS = (("“", "”"), ('"', '"'), ("‘", "’"), ("'", "'"))
+
+_WHITESPACE_RE = re.compile(r"\s+")
 
 
 class ExtractionMethod(Enum):
@@ -73,11 +75,14 @@ class CandidateTweet:
     ref: CandidateRef
     extracted_text: str
     extraction_method: ExtractionMethod
-    ui_generation_hint: str = ""
 
     def __post_init__(self) -> None:
         if not self.extracted_text:
             raise ValueError("extracted_text must be non-empty")
+
+    @property
+    def ui_generation_hint(self) -> str:
+        return _UI_HINTS[self.extraction_method]
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class _PageScan(HTMLParser):
             if not self._capture_stack:
                 self._capture_done = True
                 assert self.tweet_text_parts is not None
-                if _collapse("".join(self.tweet_text_parts)):
+                if collapse_whitespace("".join(self.tweet_text_parts)):
                     raise _TweetTextFound
 
     def handle_data(self, data: str) -> None:
@@ -167,8 +172,9 @@ class _PageScan(HTMLParser):
             self.tweet_text_parts.append(data)
 
 
-def _collapse(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip()
+def collapse_whitespace(text: str) -> str:
+    """Replace each whitespace run with one space and strip both ends."""
+    return _WHITESPACE_RE.sub(" ", text).strip()
 
 
 def _strip_surrounding_quotes(text: str) -> str:
@@ -236,19 +242,19 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
         pass
 
     if scan.tweet_text_parts is not None:
-        text = _collapse("".join(scan.tweet_text_parts))
+        text = collapse_whitespace("".join(scan.tweet_text_parts))
         if text:
             return text, ExtractionMethod.TWEET_TEXT_ELEMENT
 
     meta = scan.og_description if scan.og_description is not None else scan.meta_description
     if meta is not None:
-        text = _collapse(_strip_surrounding_quotes(meta))
+        text = collapse_whitespace(_strip_surrounding_quotes(meta))
         if text:
             return text, ExtractionMethod.META_DESCRIPTION
 
     json_ld = _json_ld_text(scan.json_ld_blocks)
     if json_ld is not None:
-        text = _collapse(json_ld)
+        text = collapse_whitespace(json_ld)
         if text:
             return text, ExtractionMethod.JSON_LD
 
@@ -263,13 +269,6 @@ def _without_toolbar(html: str) -> tuple[str, ...]:
     if end < 0:
         return (html,)
     return html[:begin], html[end + len(TOOLBAR_END):]
-
-
-def _header(response: HttpResponse, name: str) -> str | None:
-    for key, value in response.headers.items():
-        if key.lower() == name.lower():
-            return value
-    return None
 
 
 def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFailure:
@@ -288,7 +287,7 @@ def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFai
         except TransportError:
             return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
         if response.status in (301, 302, 303, 307, 308):
-            location = _header(response, "Location")
+            location = response.header("Location")
             if not location:
                 return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
             url = urljoin(url, location)
@@ -310,9 +309,4 @@ def resolve_candidate(ref: CandidateRef, transport: HttpTransport) -> CandidateT
         text, method = extract_archived_text(fetched)
     except NoTweetTextFound:
         return ReplayFailure(ref=ref, reason=FailureReason.NO_TWEET_TEXT)
-    return CandidateTweet(
-        ref=ref,
-        extracted_text=text,
-        extraction_method=method,
-        ui_generation_hint=_UI_HINTS[method],
-    )
+    return CandidateTweet(ref=ref, extracted_text=text, extraction_method=method)

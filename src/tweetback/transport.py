@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,6 +72,18 @@ class HttpResponse:
     status: int
     body: str
     headers: dict[str, str] = field(default_factory=dict)
+
+    def header(self, name: str) -> str | None:
+        """The value of header ``name``, matched case-insensitively, or None.
+
+        ``headers`` keeps the names as the server sent them; HTTP/2 sends
+        them in lower case.
+        """
+        name = name.lower()
+        for key, value in self.headers.items():
+            if key.lower() == name:
+                return value
+        return None
 
 
 class HttpTransport:
@@ -224,16 +237,17 @@ class LiveTransport(HttpTransport):
 def _parse_retry_after(value: str | None) -> float | None:
     """Seconds to wait from a ``Retry-After`` value (RFC 9110 §10.2.3).
 
-    The value is either a number of seconds or an HTTP-date; a date
-    becomes the seconds from now until then, floored at 0. Anything
-    else gives None.
+    The value is either delay-seconds (``1*DIGIT``, ASCII digits only) or
+    an HTTP-date; a date becomes the seconds from now until then, floored
+    at 0. Anything else, a sign, exponent, ``nan``, non-ASCII digit or a
+    number too large for a float included, gives None.
     """
     if value is None:
         return None
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+        return seconds if math.isfinite(seconds) else None
     from email.utils import parsedate_to_datetime
 
     try:
@@ -278,9 +292,9 @@ class RecordingTransport(HttpTransport):
     the same time would overwrite the first one's new entries.
     """
 
-    def __init__(self, directory: str | Path, inner: HttpTransport | None = None):
+    def __init__(self, directory: str | Path, inner: HttpTransport):
         self.directory = Path(directory)
-        self.inner = inner if inner is not None else LiveTransport()
+        self.inner = inner
         self._lock = threading.Lock()
         self._manifest = _load_manifest(self.directory)
 

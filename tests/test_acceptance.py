@@ -164,8 +164,8 @@ def test_criterion_7_property_suites(eval_corpus_dir):
                 for _ in range(rng.randint(0, 10))
             ]
             records, _ = parse_cdx_response("\n".join(rows))
-            once = dedup_candidates(records, from_ts14="20220505000000")
-            assert dedup_candidates(once, from_ts14="20220505000000") == once
+            once = dedup_candidates(records)
+            assert dedup_candidates(once) == once
 
         # Chunk-max dominance on random multi-line texts
         alphabet = "ab \n"

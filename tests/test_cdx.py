@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -181,19 +182,22 @@ class TestDedup:
             cdx_line("p", 1523140247739117574, "20220508031859"),
         ]
         records, _ = parse_cdx_response("\n".join(lines))
-        kept = dedup_candidates(records, from_ts14="20220506212100")
+        kept = dedup_candidates(records)
         assert [r.timestamp14 for r in kept] == ["20220508031859"]
 
-    def test_pre_window_capture_used_only_as_fallback(self):
-        lines = [
-            cdx_line("p", 1523140247739117574, "20220401000000"),
-            cdx_line("p", 1523140247739117574, "20220508031859"),
-        ]
+    def test_keeps_earliest_capture_of_each_url(self):
+        captures = {
+            1523140142177058816: ["20220509011257", "20220507000000", "20220508183923"],
+            1523141006509502470: ["20220508031859", "20220510000000"],
+            1523140577818296321: ["20220512000000"],
+        }
+        lines = [cdx_line("p", i, ts) for i, stamps in captures.items() for ts in stamps]
+        random.Random(3).shuffle(lines)
         records, _ = parse_cdx_response("\n".join(lines))
-        kept = dedup_candidates(records, from_ts14="20220506212100")
-        assert [r.timestamp14 for r in kept] == ["20220508031859"]
-        only_old = dedup_candidates(records[:1], from_ts14="20220506212100")
-        assert [r.timestamp14 for r in only_old] == ["20220401000000"]
+        kept = dedup_candidates(records)
+        assert {r.original_url: r.timestamp14 for r in kept} == {
+            f"https://twitter.com/p/status/{i}": min(stamps) for i, stamps in captures.items()
+        }
 
     def test_distinct_urls_all_kept_sorted(self):
         ids = [1523140142177058816, 1523140247739117574, 1523140577818296321,
@@ -223,8 +227,8 @@ class TestDedup:
             )
             for n, day in raw
         ]
-        once = dedup_candidates(records, from_ts14="20220508000000")
-        twice = dedup_candidates(once, from_ts14="20220508000000")
+        once = dedup_candidates(records)
+        twice = dedup_candidates(once)
         assert once == twice
 
 
@@ -266,7 +270,7 @@ class TestFilterByWindow:
         ids = [1523140142177058816, 1523141006509502470, 1523633882526646272]
         lines = [cdx_line("p", i, "20220509011257") for i in ids]
         records, _ = parse_cdx_response("\n".join(lines))
-        deduped = dedup_candidates(records, from_ts14="20220506212100")
+        deduped = dedup_candidates(records)
         candidates, _ = filter_by_window(deduped, pam_window())
         deduped_urls = {r.original_url for r in deduped}
         window = pam_window()
@@ -291,6 +295,14 @@ class TestFetchCdx:
     def test_rate_limited(self):
         transport = StubTransport().add(
             self.QUERY, body="slow down", status=429, headers={"Retry-After": "30"}
+        )
+        with pytest.raises(RateLimitedError) as excinfo:
+            fetch_cdx(self.QUERY, transport)
+        assert excinfo.value.retry_after == 30.0
+
+    def test_rate_limited_reads_lower_case_retry_after(self):
+        transport = StubTransport().add(
+            self.QUERY, body="slow down", status=429, headers={"retry-after": "30"}
         )
         with pytest.raises(RateLimitedError) as excinfo:
             fetch_cdx(self.QUERY, transport)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from tweetback.cli import (
     EXIT_ARCHIVED,
@@ -76,6 +77,36 @@ class TestExtract:
         assert payload["handle"] == "PamKeithFL"
         assert payload["timestamp"] == "2022-05-07T23:21:00+00:00"
         assert payload["text_is_fallback"] is False
+
+
+class TestGoldenBytes:
+    """The PAM outputs, byte for byte, as checked in under tests/data.
+
+    The report's ``generated_at`` line is the only one that changes from
+    run to run, so it is dropped before the comparison. Paths are given
+    relative to the repository root because ``source_id`` echoes them.
+    """
+
+    def _stdout(self, capsys, monkeypatch, data_dir, argv):
+        monkeypatch.chdir(Path(data_dir).parent.parent)
+        main(argv)
+        return capsys.readouterr().out
+
+    def test_verify_report_matches_golden(self, capsys, monkeypatch, data_dir):
+        out = self._stdout(capsys, monkeypatch, data_dir, [
+            "verify", "--ocr-text", "tests/data/pam_ocr.txt",
+            "--fixtures", "tests/data/pam_fixtures",
+        ])
+        lines = out.splitlines(keepends=True)
+        assert sum(line.startswith('  "generated_at": ') for line in lines) == 1
+        kept = "".join(line for line in lines if not line.startswith('  "generated_at": '))
+        assert kept.encode("utf-8") == (data_dir / "pam_report_golden.json").read_bytes()
+
+    def test_extract_output_matches_golden(self, capsys, monkeypatch, data_dir):
+        out = self._stdout(capsys, monkeypatch, data_dir, [
+            "extract", "--ocr-text", "tests/data/pam_ocr.txt",
+        ])
+        assert out.encode("utf-8") == (data_dir / "pam_extract_golden.json").read_bytes()
 
 
 class TestDecodeId:

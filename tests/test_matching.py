@@ -13,10 +13,11 @@ from tweetback.matching import (
     InvalidThresholdError,
     VerdictKind,
     chunk_scores,
-    decide,
+    decide_scored,
     lcs_length,
     normalize,
     overlap_score,
+    score_candidates,
 )
 from tweetback.replay import CandidateTweet, ExtractionMethod, FailureReason, ReplayFailure
 
@@ -138,6 +139,10 @@ class TestChunkScores:
     def test_chunk_max_dominates_full_text(self, screenshot, candidate):
         best, _ = chunk_scores(screenshot, candidate)
         assert best >= overlap_score(screenshot, candidate) - 1e-12
+
+
+def decide(screenshot_text, candidates, failures, threshold):
+    return decide_scored(score_candidates(screenshot_text, candidates), failures, threshold)
 
 
 class TestDecide:

@@ -93,7 +93,7 @@ class TestNarrowingSoundness:
         for id_filter in (common_prefix_filter(low, high), None):
             query = build_cdx_query(handle, window, id_filter)
             records, _ = parse_cdx_response(transport.get(query).body)
-            deduped = dedup_candidates(records, from_ts14=window.from_cdx14)
+            deduped = dedup_candidates(records)
             refs, _ = filter_by_window(deduped, window)
             survivors[id_filter is not None] = {r.tweet_id for r in refs}
         assert survivors[True] == survivors[False]
@@ -248,7 +248,6 @@ class TestConfig:
         {"threshold": 0.0},
         {"threshold": 1.5},
         {"window_hours": 0},
-        {"max_parallel_replays": 0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -319,6 +319,15 @@ class TestFetchReplay:
         )
         assert fetch_replay(REF, transport) == "<html>target</html>"
 
+    def test_lower_case_location_followed(self):
+        other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
+        transport = (
+            StubTransport()
+            .add(REF.replay_url, status=302, headers={"location": other})
+            .add(other, body="<html>target</html>")
+        )
+        assert fetch_replay(REF, transport) == "<html>target</html>"
+
     def test_relative_redirect_resolved(self):
         other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
         transport = (

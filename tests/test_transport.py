@@ -17,12 +17,22 @@ import tweetback
 from tweetback.transport import (
     FixtureMissingError,
     FixtureTransport,
+    HttpResponse,
     LiveTransport,
     RecordingTransport,
     fixture_key,
     write_fixture,
 )
 from tweetback.transport import _parse_retry_after
+
+
+class TestHeaderLookup:
+    def test_name_matched_case_insensitively(self):
+        response = HttpResponse(status=429, body="", headers={"retry-after": "30"})
+        assert response.header("Retry-After") == "30"
+        assert response.header("RETRY-AFTER") == "30"
+        assert response.header("Location") is None
+        assert response.headers == {"retry-after": "30"}
 
 
 class TestFixtureRoundTrip:
@@ -258,7 +268,11 @@ class TestLiveTransportPoliteness:
 class TestParseRetryAfter:
     @pytest.mark.parametrize("value, expected", [
         (None, None), ("", None), ("soon", None), ("30", 30.0), ("0", 0.0),
-        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0), (" 30 ", 30.0),
+        # delay-seconds is 1*DIGIT: no sign, fraction, exponent, nan/inf or
+        # non-ASCII digit
+        ("nan", None), ("inf", None), ("-5", None), ("+5", None), ("1e3", None),
+        ("3.5", None), ("٣٠", None), ("²", None), ("9" * 400, None),
     ])
     def test_values(self, value, expected):
         assert _parse_retry_after(value) == expected
