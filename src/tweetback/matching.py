@@ -33,32 +33,53 @@ def normalize(text: str) -> str:
     return collapse_whitespace(text.lower().translate(_QUOTE_MAP))
 
 
+def _prefix_lcs(text: str, ends: list[int], other: str) -> list[int]:
+    """LCS(text[:end], other) for each end in ``ends`` (ascending), in one pass.
+
+    This is the bit-vector LCS of Allison & Dix (IPL 1986) in Hyyrö's form
+    (AWOCA 2004). Bit i of ``v`` is clear where the LCS row of the text read
+    so far steps up at other[i], so that LCS is the count of clear bits.
+    Each character of ``text`` costs a few big-int operations on
+    len(other) bits: O(len(text) * ceil(len(other) / 64)) word operations.
+    """
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(other):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    all_ones = (1 << len(other)) - 1
+    v = all_ones
+    start = 0
+    lengths = []
+    for end in ends:
+        for ch in text[start:end]:
+            mask = masks.get(ch)
+            if mask:
+                u = v & mask
+                v = ((v + u) | (v - u)) & all_ones
+        start = end
+        lengths.append(len(other) - v.bit_count())
+    return lengths
+
+
 def lcs_length(a: str, b: str) -> int:
-    """Character-level longest-common-subsequence length, O(len(a)*len(b))."""
-    if not a or not b:
-        return 0
-    if len(a) < len(b):
+    """Character-level longest-common-subsequence length.
+
+    One bit-parallel pass over the shorter string:
+    O(min(|a|, |b|) * ceil(max(|a|, |b|) / 64)) word operations.
+    """
+    if len(a) > len(b):
         a, b = b, a
-    previous = [0] * (len(b) + 1)
-    current = [0] * (len(b) + 1)
-    for ch_a in a:
-        for j, ch_b in enumerate(b):
-            if ch_a == ch_b:
-                current[j + 1] = previous[j] + 1
-            else:
-                current[j + 1] = max(previous[j + 1], current[j])
-        previous, current = current, previous
-    return previous[len(b)]
+    return _prefix_lcs(a, [len(a)], b)[0]
+
+
+def _score(lcs: int, n: int, m: int) -> float:
+    """2*LCS / (n + m) for normalized lengths n and m; 1 for two empty texts."""
+    return 2 * lcs / (n + m) if n + m else 1.0
 
 
 def overlap_score(a: str, b: str) -> float:
     """Normalized LCS overlap in [0, 1]; 1 for two empty strings."""
     na, nb = normalize(a), normalize(b)
-    if not na and not nb:
-        return 1.0
-    if not na or not nb:
-        return 0.0
-    return 2 * lcs_length(na, nb) / (len(na) + len(nb))
+    return _score(lcs_length(na, nb), len(na), len(nb))
 
 
 def chunk_scores(screenshot_text: str, candidate_text: str) -> tuple[float, int]:
@@ -67,11 +88,26 @@ def chunk_scores(screenshot_text: str, candidate_text: str) -> tuple[float, int]
     Chunk k is the first k+1 lines joined by spaces; the last chunk is the
     whole text, so the result never undercuts the full-text score. Returns
     the best score with the smallest chunk index achieving it.
+
+    Each normalized chunk is a prefix of the normalized whole text, so one
+    pass over that text against the candidate reads off every chunk's LCS.
+    A chunk's normalized length comes from its lines alone: the joining
+    space stops lower()'s final-sigma lookaround and collapses with the
+    whitespace around it, so a chunk normalizes to its non-empty
+    normalized lines joined by single spaces.
     """
     lines = screenshot_text.split("\n")
+    ends, end = [], 0
+    for line in lines:
+        piece = len(normalize(line))
+        if piece:
+            end += piece + 1 if end else piece
+        ends.append(end)
+    candidate = normalize(candidate_text)
+    lcs_at_ends = _prefix_lcs(normalize(" ".join(lines)), ends, candidate)
     best_score, best_chunk = -1.0, 0
-    for k in range(len(lines)):
-        score = overlap_score(" ".join(lines[: k + 1]), candidate_text)
+    for k, (n, lcs) in enumerate(zip(ends, lcs_at_ends)):
+        score = _score(lcs, n, len(candidate))
         if score > best_score:
             best_score, best_chunk = score, k
     return best_score, best_chunk

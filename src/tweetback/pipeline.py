@@ -89,8 +89,7 @@ class VerdictReport:
     source_id: str
     fields: ExtractedFields
     verdict: Verdict
-    window_from: datetime | None = None
-    window_to: datetime | None = None
+    window: cdx.ArchiveWindow | None = None
     cdx_query: str | None = None
     cdx_rows: int = 0
     deduped: int = 0
@@ -118,11 +117,9 @@ class VerdictReport:
             "source_id": self.source_id,
             "extraction": self.fields.to_dict(),
             "window": {
-                "from": self.window_from.isoformat() if self.window_from else None,
-                "to": self.window_to.isoformat() if self.window_to else None,
-                "from_cdx14": (
-                    self.window_from.strftime("%Y%m%d%H%M%S") if self.window_from else None
-                ),
+                "from": self.window.from_ts.isoformat() if self.window else None,
+                "to": self.window.to_ts.isoformat() if self.window else None,
+                "from_cdx14": self.window.from_cdx14 if self.window else None,
             },
             "cdx_query": self.cdx_query,
             "counts": {
@@ -249,8 +246,7 @@ def run_pipeline(
         source_id=doc.source_id,
         fields=fields,
         verdict=verdict,
-        window_from=window.from_ts,
-        window_to=window.to_ts,
+        window=window,
         cdx_query=query,
         cdx_rows=len(records),
         deduped=len(deduped),

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import base64
 import hashlib
+from itertools import combinations
 from pathlib import Path
 
+from tweetback.matching import normalize
 from tweetback.transport import (
     FixtureMissingError,
     HttpResponse,
@@ -130,3 +132,56 @@ def deep_json_ld_html(depth: int) -> str:
         f'<script type="application/ld+json">{"[" * depth}</script>'
         "</head><body></body></html>"
     )
+
+
+def brute_force_lcs(a: str, b: str) -> int:
+    """Oracle: enumerate subsequences of the shorter string outright.
+
+    Exponential, so only usable for strings up to ~12 characters; checks
+    candidate subsequences longest-first with a two-pointer scan.
+    """
+    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+    for length in range(len(short), 0, -1):
+        for positions in combinations(range(len(short)), length):
+            candidate = "".join(short[i] for i in positions)
+            iterator = iter(long_)
+            if all(ch in iterator for ch in candidate):
+                return length
+    return 0
+
+
+def dp_lcs_length(a: str, b: str) -> int:
+    """Reference LCS length: the textbook O(len(a)*len(b)) row DP."""
+    if not a or not b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    previous = [0] * (len(b) + 1)
+    current = [0] * (len(b) + 1)
+    for ch_a in a:
+        for j, ch_b in enumerate(b):
+            if ch_a == ch_b:
+                current[j + 1] = previous[j] + 1
+            else:
+                current[j + 1] = max(previous[j + 1], current[j])
+        previous, current = current, previous
+    return previous[len(b)]
+
+
+def chunk_scores_reference(screenshot_text: str, candidate_text: str) -> tuple[float, int]:
+    """Reference for ``matching.chunk_scores``: normalize and score every
+    line-prefix chunk on its own with ``dp_lcs_length``, O(k*n*m)."""
+    nb = normalize(candidate_text)
+    lines = screenshot_text.split("\n")
+    best_score, best_chunk = -1.0, 0
+    for k in range(len(lines)):
+        na = normalize(" ".join(lines[: k + 1]))
+        if not na and not nb:
+            score = 1.0
+        elif not na or not nb:
+            score = 0.0
+        else:
+            score = 2 * dp_lcs_length(na, nb) / (len(na) + len(nb))
+        if score > best_score:
+            best_score, best_chunk = score, k
+    return best_score, best_chunk

@@ -14,8 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from helpers import cdx_line
-from test_matching import brute_force_lcs
+from helpers import brute_force_lcs, cdx_line
 
 from tweetback.cdx import build_cdx_query, build_window, dedup_candidates, parse_cdx_response
 from tweetback.cli import EXIT_ARCHIVED, main

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from datetime import datetime, timezone
-from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import brute_force_lcs, chunk_scores_reference, dp_lcs_length
 from tweetback.cdx import CandidateRef
 from tweetback.matching import (
     InvalidThresholdError,
@@ -20,22 +21,6 @@ from tweetback.matching import (
     score_candidates,
 )
 from tweetback.replay import CandidateTweet, ExtractionMethod, FailureReason, ReplayFailure
-
-
-def brute_force_lcs(a: str, b: str) -> int:
-    """Oracle: enumerate subsequences of the shorter string outright.
-
-    Exponential, so only usable for strings up to ~12 characters; checks
-    candidate subsequences longest-first with a two-pointer scan.
-    """
-    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-    for length in range(len(short), 0, -1):
-        for positions in combinations(range(len(short)), length):
-            candidate = "".join(short[i] for i in positions)
-            iterator = iter(long_)
-            if all(ch in iterator for ch in candidate):
-                return length
-    return 0
 
 
 def make_candidate(text: str, tweet_id: int = 1523141006509502470,
@@ -139,6 +124,79 @@ class TestChunkScores:
     def test_chunk_max_dominates_full_text(self, screenshot, candidate):
         best, _ = chunk_scores(screenshot, candidate)
         assert best >= overlap_score(screenshot, candidate) - 1e-12
+
+
+# Characters whose normalization is easy to get wrong at a line join:
+# final sigma (lower() looks at the neighbours), dotted capital I (lowers to
+# two code points), typographic quotes, and whitespace that \s matches.
+_TRICKY = "ΣσςΑİIıi‘’‚‛“”„‟'\"\r\t\x1c\x1d\x1e\x1f \u00a0\u2028\u3000ab"
+_chars = st.one_of(st.sampled_from(_TRICKY), st.characters())
+_line = st.builds(
+    lambda body, tail: body + tail,
+    st.text(_chars, max_size=12),
+    st.sampled_from(["", "Σ", "ΑΣ", "Σ'", "İ", " ", "\t\r"]),
+)
+_lines = st.lists(st.one_of(_line, st.sampled_from(["", " ", "\t \x1f"])),
+                  min_size=1, max_size=6)
+
+
+class TestBitParallelKernel:
+    """The one-pass kernel against the per-prefix DP it replaced."""
+
+    @given(_lines, st.text(_chars, max_size=40))
+    def test_chunk_scores_match_reference(self, lines, candidate):
+        screenshot = "\n".join(lines)
+        assert chunk_scores(screenshot, candidate) == chunk_scores_reference(screenshot, candidate)
+
+    @given(_lines, _lines)
+    def test_chunk_scores_match_reference_on_shared_text(self, lines, other):
+        # Candidates built from the screenshot's own lines give high scores
+        # and ties between chunks, where the smallest index must win.
+        screenshot, candidate = "\n".join(lines), " ".join(lines[:2] + other)
+        assert chunk_scores(screenshot, candidate) == chunk_scores_reference(screenshot, candidate)
+
+    @given(st.text(_chars, max_size=40), st.text(_chars, max_size=40))
+    def test_lcs_length_matches_dp(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @given(_lines)
+    def test_normalized_chunk_is_prefix_of_normalized_text(self, lines):
+        whole = normalize(" ".join(lines))
+        for k in range(len(lines)):
+            assert whole.startswith(normalize(" ".join(lines[: k + 1])))
+
+    def test_final_sigma_at_line_end(self):
+        # "ΑΣ" lowers to "ας" at a line end and before the joining space.
+        assert chunk_scores("ΑΣ\nΒ", "ας") == (1.0, 0)
+        assert chunk_scores_reference("ΑΣ\nΒ", "ας") == (1.0, 0)
+
+    def test_long_random_pairs(self):
+        rng = random.Random(8080)
+        for _ in range(4):
+            a = "".join(rng.choice("abcdefg h") for _ in range(300))
+            b = "".join(rng.choice("abcdefg h") for _ in range(300))
+            assert lcs_length(a, b) == dp_lcs_length(a, b)
+            screenshot = "\n".join(a[i:i + 60] for i in range(0, 300, 60))
+            assert chunk_scores(screenshot, b) == chunk_scores_reference(screenshot, b)
+
+    def test_worst_case_input_finishes_in_bounded_time(self):
+        # 40 lines of 50 characters against a 2000-character candidate: the
+        # per-prefix DP took 13.5 s on a 2-core machine (Python 3.11), the
+        # one-pass kernel about 1 ms.
+        rng = random.Random(4050)
+        alphabet = "etaoinshrdlu "
+        candidate = "".join(rng.choice(alphabet) for _ in range(2000))
+        lines = ["".join(rng.choice(alphabet) for _ in range(50)) for _ in range(40)]
+        started = time.perf_counter()
+        chunk_scores("\n".join(lines), candidate)
+        assert time.perf_counter() - started < 1.0
+        # Many short lines: chunk lengths come from one pass over the lines;
+        # normalizing every prefix again took 21 s on the same machine.
+        started = time.perf_counter()
+        chunk_scores("\n".join(["x"] * 20_000), candidate)
+        assert time.perf_counter() - started < 1.0
+        cut = "\n".join(line[:40] for line in lines[:10])
+        assert chunk_scores(cut, candidate) == chunk_scores_reference(cut, candidate)
 
 
 def decide(screenshot_text, candidates, failures, threshold):
