@@ -17,14 +17,17 @@ from datetime import datetime, timedelta, timezone
 
 from .extraction import ExtractedHandle, ScreenshotTimestamp
 from .snowflake import IdPrefixFilter, PreSnowflakeIdError, id_to_time
-from .transport import HttpStatusError, HttpTransport, RateLimitedError, _parse_retry_after
+from .transport import HttpStatusError, HttpTransport
 
 CDX_ENDPOINT = "http://web.archive.org/cdx/search/cdx"
 REPLAY_BASE = "https://web.archive.org/web/"
 
 CDX_FIELD_COUNT = 7
 
-_STATUS_ID_RE = re.compile(r"/status/(\d+)(?:[/?#]|$)")
+# re.ASCII: int() accepts any Unicode decimal digit, so without it a path
+# in, say, Arabic-Indic digits would yield a tweet ID that its replay URL
+# does not name.
+_STATUS_ID_RE = re.compile(r"/status/(\d+)(?:[/?#]|$)", re.ASCII)
 
 
 class IncompleteHandleError(ValueError):
@@ -199,13 +202,10 @@ def filter_by_window(
 def fetch_cdx(query: str, transport: HttpTransport) -> str:
     """Execute a CDX query and return the raw response body.
 
-    Raises NetworkError (from the transport), RateLimitedError on HTTP
-    429, and HttpStatusError for any other non-200 status.
+    Raises NetworkError or RateLimitedError (from the live transport) and
+    HttpStatusError for any non-200 status a transport returns.
     """
     response = transport.get(query)
-    if response.status == 429:
-        retry_after = _parse_retry_after(response.header("Retry-After"))
-        raise RateLimitedError(query, retry_after)
     if response.status != 200:
         raise HttpStatusError(response.status, query)
     return response.body

@@ -62,8 +62,9 @@ def build_parser() -> _Parser:
     verify.add_argument("--window-hours", type=int, default=defaults.window_hours,
                         help="half-width of the archival search window "
                              f"(default {defaults.window_hours})")
-    verify.add_argument("--fixtures", metavar="DIR", help="replay recorded HTTP fixtures")
-    verify.add_argument("--record", metavar="DIR", help="hit the live web, recording fixtures")
+    archive = verify.add_mutually_exclusive_group()
+    archive.add_argument("--fixtures", metavar="DIR", help="replay recorded HTTP fixtures")
+    archive.add_argument("--record", metavar="DIR", help="hit the live web, recording fixtures")
     verify.add_argument("--json", metavar="PATH", help="also write the JSON report here")
     verify.add_argument("--top", type=int, default=defaults.top_scores, metavar="N",
                         help="candidate scores to include in the report "
@@ -102,8 +103,6 @@ def _load_document(args: argparse.Namespace):
 
 
 def _transport_mode(args: argparse.Namespace) -> TransportMode:
-    if args.fixtures and args.record:
-        raise UsageError("--fixtures and --record are mutually exclusive")
     if args.fixtures:
         return TransportMode.fixture(args.fixtures)
     if args.record:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -96,6 +96,23 @@ class MetricsSummary:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
 
+    def tally(self, predicted: object, truth: object) -> None:
+        """Count one record; None means nothing predicted, or nothing true.
+
+        A prediction is a true positive when it equals the truth and a
+        false positive otherwise; no prediction is a false negative when
+        there was a truth to find, and a true negative when there was not.
+        """
+        if predicted is not None:
+            if predicted == truth:
+                self.tp += 1
+            else:
+                self.fp += 1
+        elif truth is not None:
+            self.fn += 1
+        else:
+            self.tn += 1
+
     def to_dict(self) -> dict:
         return {
             "tp": self.tp,
@@ -109,50 +126,25 @@ class MetricsSummary:
         }
 
 
-def _minute_equal(extracted: datetime, truth: datetime) -> bool:
-    return (
-        extracted.year == truth.year
-        and extracted.month == truth.month
-        and extracted.day == truth.day
-        and extracted.hour == truth.hour
-        and extracted.minute == truth.minute
-    )
-
-
 def score_extraction(
     results: list[tuple[ExtractedFields, GroundTruthRecord]],
 ) -> tuple[MetricsSummary, MetricsSummary]:
     """Confusion matrices for timestamp and handle extraction.
 
     A handle counts as correct on case-insensitive equality; a timestamp
-    on equality at minute precision.
+    on equality of its wall-clock fields down to the minute.
     """
     timestamp = MetricsSummary()
     handle = MetricsSummary()
     for fields, truth in results:
-        if fields.handle is not None:
-            if truth.true_handle and fields.handle.handle.lower() == truth.true_handle.lower():
-                handle.tp += 1
-            else:
-                handle.fp += 1
-        else:
-            if truth.true_handle:
-                handle.fn += 1
-            else:
-                handle.tn += 1
-        if fields.timestamp is not None:
-            extracted = fields.timestamp.as_datetime()
-            if truth.true_timestamp is not None and _minute_equal(
-                extracted, truth.true_timestamp
-            ):
-                timestamp.tp += 1
-            else:
-                timestamp.fp += 1
-        else:
-            if truth.true_timestamp is not None:
-                timestamp.fn += 1
-            else:
-                timestamp.tn += 1
+        handle.tally(
+            fields.handle.handle.lower() if fields.handle else None,
+            truth.true_handle.lower() if truth.true_handle else None,
+        )
+        timestamp.tally(
+            fields.timestamp.as_datetime().timetuple()[:5] if fields.timestamp else None,
+            truth.true_timestamp.timetuple()[:5] if truth.true_timestamp else None,
+        )
     return timestamp, handle
 
 
@@ -174,19 +166,11 @@ def score_verification(
             )
         if truth.archive_state is ArchiveState.NON_REPLAYABLE:
             continue
-        claimed = verdict.kind is VerdictKind.ARCHIVED
-        if truth.archive_state is ArchiveState.ARCHIVED:
-            if claimed and verdict.evidence.candidate.ref.tweet_id == truth.expected_tweet_id:
-                summary.tp += 1
-            elif claimed:
-                summary.fp += 1
-            else:
-                summary.fn += 1
-        else:
-            if claimed:
-                summary.fp += 1
-            else:
-                summary.tn += 1
+        cited = None
+        if verdict.kind is VerdictKind.ARCHIVED:
+            cited = verdict.evidence.candidate.ref.tweet_id
+        archived = truth.archive_state is ArchiveState.ARCHIVED
+        summary.tally(cited, truth.expected_tweet_id if archived else None)
     return summary
 
 
@@ -296,16 +280,13 @@ def _metric_row(name: str, m: MetricsSummary) -> tuple[str, ...]:
     )
 
 
-def run_evaluation(
-    corpus_dir: str | Path, config: PipelineConfig | None = None
-) -> EvaluationReport:
+def run_evaluation(corpus_dir: str | Path) -> EvaluationReport:
     """Run the pipeline over a corpus in fixture mode and score the results.
 
     Records with a missing fixture or missing ground truth are listed on
     the report and excluded from the metrics; the run always continues.
     """
     corpus_dir = Path(corpus_dir)
-    base_config = config or PipelineConfig()
     truth_path = corpus_dir / GROUND_TRUTH_FILE
     truths = load_ground_truth(truth_path) if truth_path.exists() else {}
     ocr_dir = corpus_dir / OCR_SUBDIR
@@ -330,11 +311,7 @@ def run_evaluation(
     # decide_scored minimises, so the verdict at every threshold follows
     # from them and the run's replay failures.
     transport = FixtureTransport(corpus_dir / FIXTURES_SUBDIR)
-    run_config = replace(
-        base_config,
-        threshold=EVALUATION_THRESHOLDS[0],
-        top_scores=max(1, base_config.top_scores),
-    )
+    run_config = PipelineConfig(threshold=EVALUATION_THRESHOLDS[0])
     for path in ocr_files:
         truth = truths.get(path.stem)
         if truth is None:

@@ -62,7 +62,6 @@ class OcrServiceConfig:
 
     endpoint: str
     auth_token: str | None = None
-    timeout: float = 30.0
 
     def __post_init__(self) -> None:
         parsed = urlparse(self.endpoint)
@@ -95,7 +94,7 @@ def ocr_image(
     if not image:
         raise ValueError("image must be non-empty")
     if transport is None:
-        transport = LiveTransport(timeout=config.timeout)
+        transport = LiveTransport()
     headers = {"Content-Type": "application/octet-stream"}
     if config.auth_token:
         headers["Authorization"] = f"Bearer {config.auth_token}"

@@ -58,7 +58,6 @@ class PipelineConfig:
     threshold: float = matching.DEFAULT_THRESHOLD
     window_hours: int = 26
     transport_mode: TransportMode = field(default_factory=TransportMode.live)
-    politeness_delay: float = 1.0
     top_scores: int = 5
 
     def validate(self) -> None:
@@ -76,7 +75,7 @@ def make_transport(config: PipelineConfig) -> HttpTransport:
     mode = config.transport_mode
     if mode.kind == "fixture":
         return FixtureTransport(mode.path)
-    live = LiveTransport(min_interval=config.politeness_delay)
+    live = LiveTransport()
     if mode.kind == "record":
         return RecordingTransport(mode.path, inner=live)
     return live

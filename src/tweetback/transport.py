@@ -26,6 +26,8 @@ USER_AGENT = "tweetback/0.1 (screenshot attribution research tool)"
 MANIFEST_NAME = "manifest.json"
 
 RETRYABLE_STATUSES = (502, 503, 504)
+REQUEST_TIMEOUT_S = 30.0
+MAX_RETRIES = 3
 
 
 class TransportError(RuntimeError):
@@ -105,59 +107,11 @@ def fixture_key(url: str) -> str:
     return hashlib.sha256(url.encode("utf-8")).hexdigest()[:16]
 
 
-# write_fixture may be called from several threads; the manifest is a
-# shared read-modify-write file and needs serializing within the process.
-_MANIFEST_LOCK = threading.Lock()
-
-
 def _load_manifest(directory: Path) -> dict[str, dict]:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         return {}
     return json.loads(manifest_path.read_text(encoding="utf-8"))
-
-
-def _store_fixture(
-    directory: Path,
-    manifest: dict[str, dict],
-    url: str,
-    body: str,
-    status: int,
-    headers: dict[str, str],
-) -> Path:
-    """Write one response's body, index it in ``manifest``, and rewrite the
-    whole manifest file atomically (tmp file, then replace)."""
-    key = fixture_key(url)
-    body_path = directory / f"{key}.body"
-    directory.mkdir(parents=True, exist_ok=True)
-    body_path.write_text(body, encoding="utf-8")
-    manifest[key] = {"url": url, "status": status, "headers": headers}
-    manifest_path = directory / MANIFEST_NAME
-    tmp_path = manifest_path.with_suffix(".json.tmp")
-    tmp_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp_path.replace(manifest_path)
-    return body_path
-
-
-def write_fixture(
-    directory: str | Path,
-    url: str,
-    body: str,
-    status: int = 200,
-    headers: dict[str, str] | None = None,
-) -> Path:
-    """Store one recorded response under ``directory`` and index it.
-
-    The body lands in ``<hash>.body``; ``manifest.json`` maps each hash to
-    the original URL (for human inspection) plus status and headers.
-    """
-    directory = Path(directory)
-    with _MANIFEST_LOCK:
-        return _store_fixture(
-            directory, _load_manifest(directory), url, body, status, headers or {}
-        )
 
 
 class LiveTransport(HttpTransport):
@@ -168,16 +122,8 @@ class LiveTransport(HttpTransport):
     load the HTTP stack.
     """
 
-    def __init__(
-        self,
-        min_interval: float = 1.0,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
-    ):
+    def __init__(self, min_interval: float = 1.0, backoff_base: float = 0.5):
         self.min_interval = min_interval
-        self.timeout = timeout
-        self.max_retries = max_retries
         self.backoff_base = backoff_base
         import requests
 
@@ -202,13 +148,13 @@ class LiveTransport(HttpTransport):
         import requests
 
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             self._wait_politely(url)
             try:
                 resp = self._session.request(
-                    method, url, timeout=self.timeout, allow_redirects=False, **kwargs
+                    method, url, timeout=REQUEST_TIMEOUT_S, allow_redirects=False, **kwargs
                 )
             except requests.Timeout as err:
                 last_error = NetworkError(f"timeout fetching {url}: {err}", timed_out=True)
@@ -216,14 +162,14 @@ class LiveTransport(HttpTransport):
             except requests.RequestException as err:
                 last_error = NetworkError(f"request failed for {url}: {err}")
                 continue
-            if resp.status_code in RETRYABLE_STATUSES and attempt < self.max_retries:
+            if resp.status_code in RETRYABLE_STATUSES and attempt < MAX_RETRIES:
                 continue
-            if resp.status_code == 429:
-                retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
-                raise RateLimitedError(url, retry_after)
-            return HttpResponse(
+            response = HttpResponse(
                 status=resp.status_code, body=resp.text, headers=dict(resp.headers)
             )
+            if response.status == 429:
+                raise RateLimitedError(url, _parse_retry_after(response.header("Retry-After")))
+            return response
         assert last_error is not None
         raise last_error
 
@@ -278,18 +224,19 @@ class FixtureTransport(HttpTransport):
             headers=dict(entry.get("headers", {})),
         )
 
-    def post(self, url: str, data: bytes, headers: dict[str, str]) -> HttpResponse:
-        raise FixtureMissingError(url, self.directory)
-
 
 class RecordingTransport(HttpTransport):
     """Pass-through transport that records every GET for later replay.
 
+    This is the one writer of the fixture format: each body lands in
+    ``<fixture_key>.body``, and ``manifest.json`` maps the key to the URL,
+    the status and the ``Location`` header, the only header replay reads.
     The manifest is read once, when the transport is built, and kept in
-    memory; after each response the whole file is written again, so an
-    interrupted recording loses nothing. Only one live recorder per
-    directory is supported: a second one writing to the same directory at
-    the same time would overwrite the first one's new entries.
+    memory; after each response the whole file is written again, to a tmp
+    file that then replaces it, so an interrupted recording loses nothing.
+    Only one live recorder per directory is supported: a second one
+    writing to the same directory at the same time would overwrite the
+    first one's new entries.
     """
 
     def __init__(self, directory: str | Path, inner: HttpTransport):
@@ -300,14 +247,18 @@ class RecordingTransport(HttpTransport):
 
     def get(self, url: str) -> HttpResponse:
         response = self.inner.get(url)
+        key = fixture_key(url)
         headers = {
             k: v for k, v in response.headers.items() if k.lower() == "location"
         }
+        manifest_path = self.directory / MANIFEST_NAME
+        tmp_path = manifest_path.with_suffix(".json.tmp")
         with self._lock:
-            _store_fixture(
-                self.directory, self._manifest, url, response.body, response.status, headers
+            self.directory.mkdir(parents=True, exist_ok=True)
+            (self.directory / f"{key}.body").write_text(response.body, encoding="utf-8")
+            self._manifest[key] = {"url": url, "status": response.status, "headers": headers}
+            tmp_path.write_text(
+                json.dumps(self._manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
+            tmp_path.replace(manifest_path)
         return response
-
-    def post(self, url: str, data: bytes, headers: dict[str, str]) -> HttpResponse:
-        return self.inner.post(url, data, headers)

@@ -3,8 +3,9 @@
 
 Everything here is synthetic but wire-accurate: CDX bodies use the
 server's 7-field default format, replay pages use real archived-tweet
-markup shapes, and all fixture files are keyed exactly like the
-recording transport would key live traffic. Run from the repo root:
+markup shapes, and every fixture file is written by the recording
+transport that records live traffic, over canned responses. Run from the
+repo root:
 
     python tests/make_fixtures.py
 
@@ -25,7 +26,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import cdx_line, jsonld_tweet_html, legacy_tweet_html, meta_tweet_html, replay_url
+from helpers import (
+    StubTransport,
+    cdx_line,
+    jsonld_tweet_html,
+    legacy_tweet_html,
+    meta_tweet_html,
+    replay_url,
+)
 
 from tweetback.cdx import build_cdx_query, build_window
 from tweetback.evaluation import run_evaluation
@@ -33,10 +41,16 @@ from tweetback.extraction import extract_fields
 from tweetback.matching import chunk_scores
 from tweetback.ocr import OcrDocument
 from tweetback.snowflake import common_prefix_filter, id_to_time, time_to_id_bounds
-from tweetback.transport import write_fixture
+from tweetback.transport import RecordingTransport
 
 DATA_DIR = Path(__file__).parent / "data"
 UTC = timezone.utc
+
+
+def record_response(recorder: RecordingTransport, url: str, body: str, status: int = 200) -> None:
+    """Record one canned response, as a live recording would record it."""
+    recorder.inner.add(url, body, status)
+    recorder.get(url)
 
 
 def make_id(created: datetime, salt: str) -> int:
@@ -89,7 +103,7 @@ PAM_OLD_ID_ROW = (1509863143633846272, "20220507010101")
 
 def build_pam(data_dir: Path) -> None:
     (data_dir / "pam_ocr.txt").write_text("\n".join(PAM_LINES) + "\n", encoding="utf-8")
-    fixtures = data_dir / "pam_fixtures"
+    fixtures = RecordingTransport(data_dir / "pam_fixtures", inner=StubTransport())
 
     narrowed_query, window = query_for(PAM_LINES)
     assert "/status/152[2-3]&from=20220506212100&matchType=prefix" in narrowed_query
@@ -97,7 +111,7 @@ def build_pam(data_dir: Path) -> None:
     rows = [cdx_line("PamKeithFL", tid, ts) for tid, ts, _ in PAM_ROWS]
     rows.insert(2, cdx_line("PamKeithFL", *PAM_DUPLICATE_ROW))
     rows.append(cdx_line("PamKeithFL", *PAM_OUT_OF_WINDOW))
-    write_fixture(fixtures, narrowed_query, "\n".join(rows) + "\n")
+    record_response(fixtures, narrowed_query, "\n".join(rows) + "\n")
 
     # The unnarrowed variant returns a superset; window filtering must make
     # both queries land on the identical candidate set.
@@ -106,16 +120,16 @@ def build_pam(data_dir: Path) -> None:
         cdx_line("PamKeithFL", *PAM_OLD_ID_ROW),
         cdx_line("PamKeithFL", "photo", "20220508000000"),
     ]
-    write_fixture(fixtures, plain_query, "\n".join(rows + extra) + "\n")
+    record_response(fixtures, plain_query, "\n".join(rows + extra) + "\n")
 
     for tweet_id, ts14, page in PAM_ROWS:
         created = id_to_time(tweet_id)
         assert window.from_ts <= created <= window.to_ts, tweet_id
         url = replay_url("PamKeithFL", tweet_id, ts14)
         if page is None:
-            write_fixture(fixtures, url, "snapshot not found", status=404)
+            record_response(fixtures, url, "snapshot not found", status=404)
         else:
-            write_fixture(fixtures, url, page)
+            record_response(fixtures, url, page)
 
     assert not (window.from_ts <= id_to_time(PAM_OUT_OF_WINDOW[0]) <= window.to_ts)
     assert not (window.from_ts <= id_to_time(PAM_OLD_ID_ROW[0]) <= window.to_ts)
@@ -383,7 +397,7 @@ EXPECTED_COVERAGE = {
 def build_eval_corpus(data_dir: Path) -> None:
     corpus = data_dir / "eval_corpus"
     ocr_dir = corpus / "ocr"
-    fixtures = corpus / "fixtures"
+    fixtures = RecordingTransport(corpus / "fixtures", inner=StubTransport())
     ocr_dir.mkdir(parents=True, exist_ok=True)
 
     csv_rows = ["source_id,true_handle,true_timestamp_iso8601,archive_state,expected_tweet_id"]
@@ -411,10 +425,10 @@ def build_eval_corpus(data_dir: Path) -> None:
             rows.append(cdx_line(handle, candidate.tweet_id, candidate.capture_ts14))
             url = replay_url(handle, candidate.tweet_id, candidate.capture_ts14)
             if candidate.page is None:
-                write_fixture(fixtures, url, "snapshot not found", status=404)
+                record_response(fixtures, url, "snapshot not found", status=404)
             else:
-                write_fixture(fixtures, url, candidate.page)
-        write_fixture(fixtures, query, "\n".join(rows) + ("\n" if rows else ""))
+                record_response(fixtures, url, candidate.page)
+        record_response(fixtures, query, "\n".join(rows) + ("\n" if rows else ""))
 
         # The archived-truth record must match its fixture; the near-miss
         # record must land between the two thresholds.

@@ -22,7 +22,7 @@ from tweetback.cdx import (
 from tweetback.cdx import _parse_timestamp14
 from tweetback.extraction import ExtractedHandle, ScreenshotTimestamp
 from tweetback.snowflake import common_prefix_filter, id_to_time, time_to_id_bounds
-from tweetback.transport import HttpStatusError, NetworkError, RateLimitedError
+from tweetback.transport import HttpStatusError, NetworkError
 
 UTC = timezone.utc
 
@@ -259,6 +259,18 @@ class TestFilterByWindow:
         assert candidates == []
         assert len(warnings) == 1
 
+    def test_non_ascii_digit_id_warns(self):
+        # int() reads these Arabic-Indic digits as 1523141006509502470, an
+        # in-window ID, but the replay URL would not name that status.
+        arabic_indic = "1523141006509502470".translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        line = cdx_line("PamKeithFL", arabic_indic, "20220509011257")
+        records, warnings = parse_cdx_response(line)
+        assert len(records) == 1 and warnings == []
+        candidates, warnings = filter_by_window(records, pam_window())
+        assert candidates == []
+        url = f"https://twitter.com/PamKeithFL/status/{arabic_indic}"
+        assert warnings == [f"no tweet ID in {url}"]
+
     def test_pre_snowflake_id_warns(self):
         line = cdx_line("PamKeithFL", 20, "20220508000000")
         records, _ = parse_cdx_response(line)
@@ -292,30 +304,14 @@ class TestFetchCdx:
             fetch_cdx(self.QUERY, transport)
         assert excinfo.value.status == 503
 
-    def test_rate_limited(self):
+    def test_429_from_non_live_transport_is_http_error(self):
+        # Only LiveTransport raises RateLimitedError; a recorded 429 is a status.
         transport = StubTransport().add(
             self.QUERY, body="slow down", status=429, headers={"Retry-After": "30"}
         )
-        with pytest.raises(RateLimitedError) as excinfo:
+        with pytest.raises(HttpStatusError) as excinfo:
             fetch_cdx(self.QUERY, transport)
-        assert excinfo.value.retry_after == 30.0
-
-    def test_rate_limited_reads_lower_case_retry_after(self):
-        transport = StubTransport().add(
-            self.QUERY, body="slow down", status=429, headers={"retry-after": "30"}
-        )
-        with pytest.raises(RateLimitedError) as excinfo:
-            fetch_cdx(self.QUERY, transport)
-        assert excinfo.value.retry_after == 30.0
-
-    def test_rate_limited_with_http_date(self):
-        transport = StubTransport().add(
-            self.QUERY, body="slow down", status=429,
-            headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"},
-        )
-        with pytest.raises(RateLimitedError) as excinfo:
-            fetch_cdx(self.QUERY, transport)
-        assert excinfo.value.retry_after == 0
+        assert excinfo.value.status == 429
 
     def test_network_error_propagates(self):
         transport = StubTransport().add_error(self.QUERY, NetworkError("boom"))

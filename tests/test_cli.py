@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from helpers import StubTransport
 from tweetback.cli import (
     EXIT_ARCHIVED,
     EXIT_ERROR,
@@ -10,6 +11,7 @@ from tweetback.cli import (
     EXIT_USAGE,
     main,
 )
+from tweetback.transport import RecordingTransport
 
 
 class TestVerify:
@@ -68,6 +70,14 @@ class TestVerify:
             "--fixtures", str(tmp_path), "--record", str(tmp_path),
         ])
         assert code == EXIT_USAGE
+
+    def test_recorded_429_is_error(self, capsys, data_dir, pam_ocr_path, tmp_path):
+        query = json.loads((data_dir / "pam_report_golden.json").read_text())["cdx_query"]
+        inner = StubTransport().add(query, "slow down", 429, {"Retry-After": "30"})
+        RecordingTransport(tmp_path, inner=inner).get(query)
+        code = main(["verify", "--ocr-text", str(pam_ocr_path), "--fixtures", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert f"HTTP 429 for {query}" in capsys.readouterr().err
 
 
 class TestExtract:

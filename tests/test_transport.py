@@ -9,6 +9,7 @@ import time
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +20,9 @@ from tweetback.transport import (
     FixtureTransport,
     HttpResponse,
     LiveTransport,
+    RateLimitedError,
     RecordingTransport,
     fixture_key,
-    write_fixture,
 )
 from tweetback.transport import _parse_retry_after
 
@@ -35,10 +36,17 @@ class TestHeaderLookup:
         assert response.headers == {"retry-after": "30"}
 
 
+def _record(directory: Path, url: str, body: str = "", status: int = 200,
+            headers: dict[str, str] | None = None) -> None:
+    """Record one canned response under ``directory``."""
+    inner = StubTransport().add(url, body=body, status=status, headers=headers)
+    RecordingTransport(directory, inner=inner).get(url)
+
+
 class TestFixtureRoundTrip:
     def test_write_then_read(self, tmp_path):
         url = "http://web.archive.org/cdx/search/cdx?url=x&from=1&matchType=prefix"
-        write_fixture(tmp_path, url, body="row one\nrow two", status=200)
+        _record(tmp_path, url, body="row one\nrow two")
         transport = FixtureTransport(tmp_path)
         response = transport.get(url)
         assert response.status == 200
@@ -46,23 +54,22 @@ class TestFixtureRoundTrip:
 
     def test_status_and_headers_preserved(self, tmp_path):
         url = "https://web.archive.org/web/2022/https://twitter.com/a/status/1"
-        write_fixture(tmp_path, url, body="", status=302,
-                      headers={"Location": "https://web.archive.org/web/2023/x"})
+        location = "https://web.archive.org/web/2023/x"
+        _record(tmp_path, url, status=302, headers={
+            "Location": location, "Content-Type": "text/html", "Set-Cookie": "a=b",
+        })
         response = FixtureTransport(tmp_path).get(url)
         assert response.status == 302
-        assert response.headers["Location"].endswith("/2023/x")
+        assert response.body == ""
+        assert response.headers == {"Location": location}
 
     def test_missing_fixture_raises(self, tmp_path):
         with pytest.raises(FixtureMissingError):
             FixtureTransport(tmp_path).get("https://example.test/nothing")
 
-    def test_post_unsupported(self, tmp_path):
-        with pytest.raises(FixtureMissingError):
-            FixtureTransport(tmp_path).post("https://example.test/ocr", b"img", {})
-
     def test_manifest_maps_hash_to_url(self, tmp_path):
         url = "https://web.archive.org/web/2022/https://twitter.com/a/status/5"
-        write_fixture(tmp_path, url, body="x")
+        _record(tmp_path, url, body="x")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest[fixture_key(url)]["url"] == url
 
@@ -91,26 +98,6 @@ class TestRecordingTransport:
         recording.get(url)
         second = (tmp_path / f"{fixture_key(url)}.body").read_text()
         assert first == second == "same body"
-
-    def test_manifest_bytes_match_write_fixture(self, tmp_path):
-        inner = StubTransport()
-        responses = []
-        for i in range(50):
-            url = f"https://web.archive.org/web/2022/https://twitter.com/a/status/{i}"
-            if i % 5 == 0:
-                headers = {"Location": f"https://web.archive.org/web/2023/x{i}"}
-                inner.add(url, status=302, headers={**headers, "Content-Type": "text/html"})
-                responses.append((url, "", 302, headers))
-            else:
-                inner.add(url, body=f"page {i}")
-                responses.append((url, f"page {i}", 200, {}))
-        recording = RecordingTransport(tmp_path / "recorded", inner=inner)
-        for url, *_ in responses:
-            recording.get(url)
-        for url, body, status, headers in responses:
-            write_fixture(tmp_path / "written", url, body, status, headers)
-        recorded = (tmp_path / "recorded" / "manifest.json").read_bytes()
-        assert recorded == (tmp_path / "written" / "manifest.json").read_bytes()
 
     def test_second_recorder_keeps_first_entries(self, tmp_path):
         urls = [f"https://example.test/{name}" for name in ("a", "b", "c")]
@@ -263,6 +250,30 @@ class TestLiveTransportPoliteness:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestLiveTransportRateLimit:
+    URL = "http://web.archive.org/cdx/search/cdx?url=x&from=1&matchType=prefix"
+
+    @classmethod
+    def _rate_limited(cls, monkeypatch, headers: dict[str, str]) -> RateLimitedError:
+        transport = LiveTransport(min_interval=0.0, backoff_base=0.0)
+        response = SimpleNamespace(status_code=429, text="slow down", headers=headers)
+        monkeypatch.setattr(transport._session, "request", lambda method, url, **kw: response)
+        with pytest.raises(RateLimitedError) as excinfo:
+            transport.get(cls.URL)
+        assert excinfo.value.url == cls.URL
+        return excinfo.value
+
+    def test_rate_limited(self, monkeypatch):
+        assert self._rate_limited(monkeypatch, {"Retry-After": "30"}).retry_after == 30.0
+
+    def test_rate_limited_reads_lower_case_retry_after(self, monkeypatch):
+        assert self._rate_limited(monkeypatch, {"retry-after": "30"}).retry_after == 30.0
+
+    def test_rate_limited_with_http_date(self, monkeypatch):
+        headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        assert self._rate_limited(monkeypatch, headers).retry_after == 0
 
 
 class TestParseRetryAfter:
