@@ -6,7 +6,14 @@ from UTC-12 to UTC+14, so the tweet's true UTC creation time lies within
 ``from=`` (captures can only happen after posting) and an ID-prefix regex
 derived from the window's Snowflake bounds to cut the result set down;
 the right edge is enforced locally by decoding each row's tweet ID, since
-a capture may be taken long after the tweet was posted.
+a capture may be taken long after the tweet was posted. The server
+collapses the rows to one per urlkey, so it sends only the row that
+dedup keeps.
+
+Each capture has two replay URLs, both built here: the plain one, which
+the report cites for a human to open, and the raw ``id_`` one, which is
+fetched, because it serves the capture as recorded, without the
+archive's toolbar and rewritten links.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .extraction import ExtractedHandle, ScreenshotTimestamp
 from .snowflake import IdPrefixFilter, PreSnowflakeIdError, id_to_time
 from .transport import HttpStatusError, HttpTransport
 
-CDX_ENDPOINT = "http://web.archive.org/cdx/search/cdx"
+CDX_ENDPOINT = "https://web.archive.org/cdx/search/cdx"
 REPLAY_BASE = "https://web.archive.org/web/"
 
 CDX_FIELD_COUNT = 7
@@ -75,13 +82,28 @@ class CdxRecord:
         object.__setattr__(self, "archived_at", archived_at)
 
 
+def build_replay_url(timestamp14: str, original_url: str, raw: bool = False) -> str:
+    """The replay URL of one capture: plain, or raw (``id_``) when ``raw``."""
+    flag = "id_" if raw else ""
+    return f"{REPLAY_BASE}{timestamp14}{flag}/{original_url}"
+
+
 @dataclass(frozen=True)
 class CandidateRef:
-    """An archived capture of a status URL whose tweet ID fits the window."""
+    """An archived capture of a status URL whose tweet ID fits the window.
+
+    ``replay_url`` is the plain form of build_replay_url.
+    """
 
     replay_url: str
     tweet_id: int
     archived_at: datetime
+
+    @property
+    def raw_replay_url(self) -> str:
+        """The ``id_`` form of ``replay_url``, the one that is fetched."""
+        timestamp14, _, original_url = self.replay_url[len(REPLAY_BASE):].partition("/")
+        return build_replay_url(timestamp14, original_url, raw=True)
 
 
 def build_window(ts: ScreenshotTimestamp, hours: int = 26) -> ArchiveWindow:
@@ -109,13 +131,19 @@ def build_cdx_query(
     The ID filter, when available, becomes a literal path fragment like
     ``152[2-3]`` (the CDX server treats it as a regex); the URL is built
     verbatim, without percent-encoding, to match what the server expects.
+
+    ``collapse=urlkey`` makes the server send only the first row of each
+    urlkey. Rows come sorted by urlkey, then timestamp, and ``from=`` drops
+    earlier captures, so that row is the earliest in-window capture, the
+    one dedup_candidates keeps. The urlkey ignores the scheme and case, so
+    ``http://``/``https://`` and handle-case variants of one status merge.
     """
     if not handle.complete:
         raise IncompleteHandleError(f"handle @{handle.handle} is truncated")
     path = f"https://twitter.com/{handle.handle}/status"
     if id_filter is not None:
         path += f"/{id_filter.render()}"
-    return f"{CDX_ENDPOINT}?url={path}&from={window.from_cdx14}&matchType=prefix"
+    return f"{CDX_ENDPOINT}?url={path}&from={window.from_cdx14}&matchType=prefix&collapse=urlkey"
 
 
 def _parse_timestamp14(value: str) -> datetime | None:
@@ -160,7 +188,8 @@ def dedup_candidates(records: list[CdxRecord]) -> list[CdxRecord]:
 
     The earliest capture is the most likely to replay the original
     content. No capture predates the window: the query's ``from=`` drops
-    every earlier row.
+    every earlier row. The server's collapse already leaves one row per
+    urlkey; this still holds for a server or recording that ignores it.
     """
     best: dict[str, CdxRecord] = {}
     for record in records:
@@ -191,7 +220,7 @@ def filter_by_window(
             continue
         candidates.append(
             CandidateRef(
-                replay_url=f"{REPLAY_BASE}{record.timestamp14}/{record.original_url}",
+                replay_url=build_replay_url(record.timestamp14, record.original_url),
                 tweet_id=tweet_id,
                 archived_at=record.archived_at,
             )

@@ -177,10 +177,12 @@ def _resolve_all(
 
     Two or more replays go through a thread pool: a live replay can take
     longer than the politeness interval, so a second one in flight
-    overlaps that wait. With fewer there is nothing to overlap, and the
-    pool's thread start-up and shutdown would be pure cost.
+    overlaps that wait. With fewer, or from a fixture directory, there is
+    nothing to overlap, and the pool's thread start-up, wake-ups and
+    shutdown would be pure cost; on a busy host the wake-ups stall for
+    milliseconds.
     """
-    if len(refs) < 2:
+    if len(refs) < 2 or isinstance(transport, FixtureTransport):
         return [replay.resolve_candidate(ref, transport) for ref in refs]
     with ThreadPoolExecutor(max_workers=REPLAY_WORKERS) as pool:
         return list(pool.map(lambda ref: replay.resolve_candidate(ref, transport), refs))

@@ -8,12 +8,19 @@ extractor tries exactly those three strategies, in that order. Pages
 that would need script execution to render fall out as failures, which
 is the same bucket as captures that never replay at all.
 
+Replays are fetched in the raw ``id_`` form (see cdx.build_replay_url),
+which carries no toolbar and no rewritten links; results cite the plain
+replay URL.
+
 Parsing is done with the standard library's error-recovering HTMLParser,
-since archived pages are frequently truncated or malformed. A page is read
-only as far as the answer: the toolbar the Wayback Machine inserts into
-plain replays is skipped, and the scan stops at the end of the first
-non-empty ``tweet-text`` element, since nothing after it can change the
-result.
+since archived pages are frequently truncated or malformed. Where it
+gives up on markup it cannot read (some Python versions raise on a
+malformed ``<![`` section), the scan ends there and the strategies use
+what was read. A page is read only as far as the answer: the toolbar the
+Wayback Machine inserts into plain replays, which fixtures recorded
+before the raw fetch still hold, is skipped, and the scan stops at the
+end of the first non-empty ``tweet-text`` element, since nothing after
+it can change the result.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class _PageScan(HTMLParser):
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.tweet_text_parts: list[str] | None = None
+        self.tweet_text_parts: list[str] = []
         self.og_description: str | None = None
         self.meta_description: str | None = None
         self.json_ld_blocks: list[str] = []
@@ -133,7 +140,6 @@ class _PageScan(HTMLParser):
             if tag in ("script", "style"):
                 self._skip_data_depth += 1
             elif tag == "br":
-                assert self.tweet_text_parts is not None
                 self.tweet_text_parts.append(" ")
             if tag not in _VOID_TAGS:
                 self._capture_stack.append(tag)
@@ -143,7 +149,6 @@ class _PageScan(HTMLParser):
             and "tweet-text" in attr_map.get("class", "").split()
             and tag not in _VOID_TAGS
         ):
-            self.tweet_text_parts = []
             self._capture_stack.append(tag)
 
     def handle_endtag(self, tag: str) -> None:
@@ -160,7 +165,6 @@ class _PageScan(HTMLParser):
                 pass
             if not self._capture_stack:
                 self._capture_done = True
-                assert self.tweet_text_parts is not None
                 if collapse_whitespace("".join(self.tweet_text_parts)):
                     raise _TweetTextFound
 
@@ -168,7 +172,6 @@ class _PageScan(HTMLParser):
         if self._in_json_ld:
             self._json_ld_parts.append(data)
         if self._capture_stack and not self._skip_data_depth:
-            assert self.tweet_text_parts is not None
             self.tweet_text_parts.append(data)
 
 
@@ -232,19 +235,22 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
 
     A Wayback toolbar insert (BEGIN marker, then a later END marker) is
     the archive's own markup, not the capture's, and is not parsed.
+    Markup the parser gives up on ends the scan; what was read before it
+    still counts.
     """
     scan = _PageScan()
     try:
         for part in _without_toolbar(html):
             scan.feed(part)
         scan.close()
-    except _TweetTextFound:
+    except (_TweetTextFound, AssertionError):
+        # AssertionError is html.parser's own error for markup it cannot
+        # parse, such as "<![foo bar]>" (Python 3.10 to 3.13.0 at least).
         pass
 
-    if scan.tweet_text_parts is not None:
-        text = collapse_whitespace("".join(scan.tweet_text_parts))
-        if text:
-            return text, ExtractionMethod.TWEET_TEXT_ELEMENT
+    text = collapse_whitespace("".join(scan.tweet_text_parts))
+    if text:
+        return text, ExtractionMethod.TWEET_TEXT_ELEMENT
 
     meta = scan.og_description if scan.og_description is not None else scan.meta_description
     if meta is not None:
@@ -272,12 +278,13 @@ def _without_toolbar(html: str) -> tuple[str, ...]:
 
 
 def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFailure:
-    """Fetch a replay URL, following redirects only within web.archive.org.
+    """Fetch a candidate's raw replay, following redirects only within
+    web.archive.org.
 
     All failures come back as ReplayFailure values rather than exceptions,
     so one bad candidate never aborts a batch.
     """
-    url = ref.replay_url
+    url = ref.raw_replay_url
     for _ in range(MAX_REDIRECT_HOPS + 1):
         try:
             response = transport.get(url)
@@ -290,8 +297,12 @@ def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFai
             location = response.header("Location")
             if not location:
                 return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
-            url = urljoin(url, location)
-            if urlparse(url).netloc != REPLAY_HOST:
+            try:
+                url = urljoin(url, location)
+                host = urlparse(url).netloc
+            except ValueError:  # e.g. an unclosed "[" in the host
+                return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
+            if host != REPLAY_HOST:
                 return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
             continue
         if response.status == 200:

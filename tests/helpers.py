@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
+from html.parser import HTMLParser
 from itertools import combinations
 from pathlib import Path
 
+from tweetback.cdx import build_replay_url
 from tweetback.matching import normalize
 from tweetback.transport import (
     FixtureMissingError,
@@ -64,18 +66,38 @@ def fake_digest(seed: str) -> str:
     return base64.b32encode(hashlib.sha1(seed.encode()).digest()).decode()[:32]
 
 
-def cdx_line(handle: str, tweet_id: int | str, capture_ts14: str) -> str:
-    url = f"https://twitter.com/{handle}/status/{tweet_id}"
+def status_url(handle: str, tweet_id: int | str, scheme: str = "https") -> str:
+    return f"{scheme}://twitter.com/{handle}/status/{tweet_id}"
+
+
+def cdx_line(handle: str, tweet_id: int | str, capture_ts14: str, scheme: str = "https") -> str:
+    url = status_url(handle, tweet_id, scheme)
     urlkey = f"com,twitter)/{handle.lower()}/status/{tweet_id}"
     digest = fake_digest(f"{url}@{capture_ts14}")
     return f"{urlkey} {capture_ts14} {url} text/html 200 {digest} 8123"
 
 
+def collapse_by_urlkey(lines: list[str]) -> list[str]:
+    """What the CDX server sends for ``collapse=urlkey``: of rows sorted by
+    urlkey, only the first of each run of rows sharing one urlkey."""
+    kept: list[str] = []
+    previous = None
+    for line in lines:
+        urlkey = line.split(" ", 1)[0]
+        if urlkey != previous:
+            kept.append(line)
+            previous = urlkey
+    return kept
+
+
 def replay_url(handle: str, tweet_id: int | str, capture_ts14: str) -> str:
-    return (
-        f"https://web.archive.org/web/{capture_ts14}/"
-        f"https://twitter.com/{handle}/status/{tweet_id}"
-    )
+    """The plain replay URL a report cites."""
+    return build_replay_url(capture_ts14, status_url(handle, tweet_id))
+
+
+def raw_replay_url(handle: str, tweet_id: int | str, capture_ts14: str) -> str:
+    """The raw (``id_``) replay URL the pipeline fetches."""
+    return build_replay_url(capture_ts14, status_url(handle, tweet_id), raw=True)
 
 
 def legacy_tweet_html(text: str) -> str:
@@ -104,6 +126,22 @@ def jsonld_tweet_html(text: str) -> str:
         f'{{"@type": "SocialMediaPosting", "articleBody": "{text}"}}'
         "</script></head><body></body></html>"
     )
+
+
+# A malformed marked section: html.parser raises AssertionError on it in
+# Python 3.10 to 3.13.0 at least; later versions read it as a bogus comment.
+MALFORMED_SECTION_PAGE = "<html><body><![foo bar]><p class='tweet-text'>x</p></body></html>"
+
+
+def stdlib_parser_gives_up(html: str) -> bool:
+    """True when this Python's html.parser raises on ``html``."""
+    parser = HTMLParser()
+    try:
+        parser.feed(html)
+        parser.close()
+    except AssertionError:
+        return True
+    return False
 
 
 def find_string_field_recursive(node: object, key: str) -> str | None:

@@ -32,7 +32,7 @@ from helpers import (
     jsonld_tweet_html,
     legacy_tweet_html,
     meta_tweet_html,
-    replay_url,
+    raw_replay_url,
 )
 
 from tweetback.cdx import build_cdx_query, build_window
@@ -125,7 +125,7 @@ def build_pam(data_dir: Path) -> None:
     for tweet_id, ts14, page in PAM_ROWS:
         created = id_to_time(tweet_id)
         assert window.from_ts <= created <= window.to_ts, tweet_id
-        url = replay_url("PamKeithFL", tweet_id, ts14)
+        url = raw_replay_url("PamKeithFL", tweet_id, ts14)
         if page is None:
             record_response(fixtures, url, "snapshot not found", status=404)
         else:
@@ -423,7 +423,7 @@ def build_eval_corpus(data_dir: Path) -> None:
                 record.source_id
             )
             rows.append(cdx_line(handle, candidate.tweet_id, candidate.capture_ts14))
-            url = replay_url(handle, candidate.tweet_id, candidate.capture_ts14)
+            url = raw_replay_url(handle, candidate.tweet_id, candidate.capture_ts14)
             if candidate.page is None:
                 record_response(fixtures, url, "snapshot not found", status=404)
             else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import StubTransport, cdx_line
+from helpers import StubTransport, cdx_line, collapse_by_urlkey
 from tweetback.cdx import (
     ArchiveWindow,
     CdxRecord,
@@ -80,17 +80,17 @@ class TestBuildQuery:
     def test_narrowed_query_verbatim(self):
         query = build_cdx_query(PAM_HANDLE, pam_window(), pam_filter())
         assert query == (
-            "http://web.archive.org/cdx/search/cdx"
+            "https://web.archive.org/cdx/search/cdx"
             "?url=https://twitter.com/PamKeithFL/status/152[2-3]"
-            "&from=20220506212100&matchType=prefix"
+            "&from=20220506212100&matchType=prefix&collapse=urlkey"
         )
 
     def test_unnarrowed_query_verbatim(self):
         query = build_cdx_query(PAM_HANDLE, pam_window(), None)
         assert query == (
-            "http://web.archive.org/cdx/search/cdx"
+            "https://web.archive.org/cdx/search/cdx"
             "?url=https://twitter.com/PamKeithFL/status"
-            "&from=20220506212100&matchType=prefix"
+            "&from=20220506212100&matchType=prefix&collapse=urlkey"
         )
 
     def test_incomplete_handle_rejected(self):
@@ -121,6 +121,19 @@ class TestParse:
         records, warnings = parse_cdx_response("a 2022 u text/html 200 DIGEST 1")
         assert records == []
         assert len(warnings) == 1
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(
+            st.sampled_from([" ", "\n", "\r", "\x0b", "\u2028", "com,twitter)/p/status/1",
+                             "20220509011257", "２０２２0509011257", "99999999999999",
+                             "https://twitter.com/p/status/1", "text/html", "200", "-", ""]),
+            max_size=20,
+        ).map(" ".join),
+    ))
+    def test_never_raises(self, body):
+        records, warnings = parse_cdx_response(body)
+        assert len(records) + len(warnings) <= len(body.splitlines())
 
     def test_blank_lines_skipped(self):
         line = cdx_line("x", 1523141006509502470, "20220509011257")
@@ -230,6 +243,57 @@ class TestDedup:
         once = dedup_candidates(records)
         twice = dedup_candidates(once)
         assert once == twice
+
+
+def _sorted_rows(lines: list[str]) -> list[str]:
+    """Rows in the CDX server's order: by urlkey, then timestamp."""
+    return sorted(lines, key=lambda line: line.split(" ")[:2])
+
+
+class TestServerCollapse:
+    def test_query_asks_for_one_row_per_urlkey(self):
+        for id_filter in (pam_filter(), None):
+            query = build_cdx_query(PAM_HANDLE, pam_window(), id_filter)
+            assert query.endswith("&matchType=prefix&collapse=urlkey")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["alice", "Bob", "carol_D"]),
+                st.sampled_from([1523140142177058816, 1523141006509502470, 1523633882526646272]),
+                # all at or after the PAM window's from= (20220506212100)
+                st.sampled_from(["20220506212100", "20220508031859", "20220509011257",
+                                 "20220601000000"]),
+            ),
+            max_size=15,
+        )
+    )
+    def test_collapsed_rows_give_the_same_candidates(self, raw):
+        # One original URL per urlkey, as the archive records each tweet.
+        lines = _sorted_rows([cdx_line(handle, tid, ts) for handle, tid, ts in raw])
+        records, _ = parse_cdx_response("\n".join(lines))
+        collapsed, _ = parse_cdx_response("\n".join(collapse_by_urlkey(lines)))
+        assert dedup_candidates(collapsed) == dedup_candidates(records)
+
+    def test_scheme_and_case_variants_merge_into_one_candidate(self):
+        tid = 1523141006509502470
+        lines = _sorted_rows([
+            cdx_line("PamKeithFL", tid, "20220509011257"),
+            cdx_line("PamKeithFL", tid, "20220508120000", scheme="http"),
+            cdx_line("pamkeithfl", tid, "20220508093000"),
+            cdx_line("pamkeithfl", tid, "20220510000000", scheme="http"),
+        ])
+        assert len({line.split(" ")[0] for line in lines}) == 1
+        uncollapsed, _ = parse_cdx_response("\n".join(lines))
+        assert len(dedup_candidates(uncollapsed)) == 4
+        records, _ = parse_cdx_response("\n".join(collapse_by_urlkey(lines)))
+        candidates, warnings = filter_by_window(dedup_candidates(records), pam_window())
+        assert warnings == []
+        assert [(c.tweet_id, c.replay_url) for c in candidates] == [(
+            tid,
+            "https://web.archive.org/web/20220508093000/"
+            "https://twitter.com/pamkeithfl/status/1523141006509502470",
+        )]
 
 
 class TestFilterByWindow:

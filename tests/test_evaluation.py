@@ -264,7 +264,7 @@ class TestRunEvaluation:
         manifest = json.loads((corpus / "fixtures" / "manifest.json").read_text())
         victim = next(
             key for key, entry in manifest.items()
-            if entry["url"].startswith("http://web.archive.org/cdx")
+            if entry["url"].startswith("https://web.archive.org/cdx")
             and "alice_park" in entry["url"]
         )
         (corpus / "fixtures" / f"{victim}.body").unlink()

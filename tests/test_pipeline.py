@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from helpers import StubTransport, cdx_line, deep_json_ld_html, legacy_tweet_html, replay_url
+from helpers import (
+    MALFORMED_SECTION_PAGE,
+    StubTransport,
+    cdx_line,
+    deep_json_ld_html,
+    legacy_tweet_html,
+    raw_replay_url,
+    replay_url,
+    stdlib_parser_gives_up,
+)
 import tweetback.pipeline
 from tweetback.cdx import build_cdx_query, build_window, dedup_candidates, filter_by_window, parse_cdx_response
 from tweetback.extraction import ExtractedHandle, ScreenshotTimestamp
@@ -155,7 +164,7 @@ class TestVerdictsEndToEnd:
         tweet_id = (time_to_id_bounds(build_window(
             ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 42
         row = cdx_line("some_person", tweet_id, "20220526000000")
-        url = replay_url("some_person", tweet_id, "20220526000000")
+        url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (404, "gone")})
         report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
         assert report.verdict.kind is VerdictKind.NON_REPLAYABLE
@@ -166,7 +175,7 @@ class TestVerdictsEndToEnd:
         tweet_id = (time_to_id_bounds(build_window(
             ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 7
         row = cdx_line("some_person", tweet_id, "20220526000000")
-        url = replay_url("some_person", tweet_id, "20220526000000")
+        url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with(
             [row], {url: (200, legacy_tweet_html("hello archive world"))}
         )
@@ -178,11 +187,46 @@ class TestVerdictsEndToEnd:
         tweet_id = (time_to_id_bounds(build_window(
             ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 9
         row = cdx_line("some_person", tweet_id, "20220526000000")
-        url = replay_url("some_person", tweet_id, "20220526000000")
+        url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (200, deep_json_ld_html(5000))})
         report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
         assert report.verdict.kind is VerdictKind.NON_REPLAYABLE
         assert [f.reason.value for f in report.verdict.failures] == ["no_tweet_text_found"]
+
+    def test_malformed_marked_section_page_yields_a_report(self):
+        tweet_id = (time_to_id_bounds(build_window(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 11
+        row = cdx_line("some_person", tweet_id, "20220526000000")
+        url = raw_replay_url("some_person", tweet_id, "20220526000000")
+        transport = self._transport_with([row], {url: (200, MALFORMED_SECTION_PAGE)})
+        report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
+        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
+            assert report.verdict.kind is VerdictKind.NON_REPLAYABLE
+            assert [f.reason.value for f in report.verdict.failures] == ["no_tweet_text_found"]
+        else:
+            assert (report.verdict.kind, report.replayed_ok) == (VerdictKind.NOT_FOUND, 1)
+
+    def test_fetches_raw_replays_and_reports_plain_urls(self):
+        base = time_to_id_bounds(build_window(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]
+        ok, gone = base | 7, base | 8
+        stamp = "20220526000000"
+        transport = self._transport_with(
+            [cdx_line("some_person", ok, stamp), cdx_line("some_person", gone, stamp)],
+            {raw_replay_url("some_person", ok, stamp): (200, legacy_tweet_html("hello archive world")),
+             raw_replay_url("some_person", gone, stamp): (404, "gone")},
+        )
+        payload = json.loads(run_pipeline(self.DOC, PipelineConfig(), transport=transport).to_json())
+        assert sorted(transport.get_log[1:]) == sorted(
+            raw_replay_url("some_person", i, stamp) for i in (ok, gone)
+        )
+        assert payload["verdict"]["evidence"]["replay_url"] == replay_url("some_person", ok, stamp)
+        assert [m["replay_url"] for m in payload["top_scores"]] == [
+            replay_url("some_person", ok, stamp)
+        ]
+        assert payload["verdict"]["failures"] == [
+            {"replay_url": replay_url("some_person", gone, stamp), "reason": "http_error"}
+        ]
 
     def _run_with_candidates(self, count: int) -> VerdictReport:
         base = time_to_id_bounds(build_window(
@@ -190,7 +234,7 @@ class TestVerdictsEndToEnd:
         ids = [base | (7 + i) for i in range(count)]
         transport = self._transport_with(
             [cdx_line("some_person", i, "20220526000000") for i in ids],
-            {replay_url("some_person", i, "20220526000000"):
+            {raw_replay_url("some_person", i, "20220526000000"):
                 (200, legacy_tweet_html("hello archive world")) for i in ids},
         )
         return run_pipeline(self.DOC, PipelineConfig(), transport=transport)
@@ -206,6 +250,11 @@ class TestVerdictsEndToEnd:
         monkeypatch.setattr(tweetback.pipeline, "ThreadPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolUsed):
             self._run_with_candidates(2)
+
+    def test_fixture_replays_run_inline(self, monkeypatch, pam_ocr_path, pam_fixtures_dir):
+        monkeypatch.setattr(tweetback.pipeline, "ThreadPoolExecutor", _refuse_pool)
+        report = run_pipeline(load_text_document(pam_ocr_path), fixture_config(pam_fixtures_dir))
+        assert (report.in_window, report.verdict.kind) == (5, VerdictKind.ARCHIVED)
 
 
 class _PoolUsed(Exception):

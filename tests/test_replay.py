@@ -3,16 +3,18 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MALFORMED_SECTION_PAGE,
     StubTransport,
     deep_json_ld_html,
     find_string_field_recursive,
     jsonld_tweet_html,
     legacy_tweet_html,
     meta_tweet_html,
+    stdlib_parser_gives_up,
 )
 from tweetback.cdx import CandidateRef
 from tweetback.replay import (
@@ -294,19 +296,45 @@ class TestToolbarSkipped:
 
 
 
+class TestParserGivesUp:
+    def test_malformed_marked_section_is_not_a_crash(self):
+        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
+            with pytest.raises(NoTweetTextFound):
+                extract_archived_text(MALFORMED_SECTION_PAGE)
+        else:
+            assert extract_archived_text(MALFORMED_SECTION_PAGE) == (
+                "x", ExtractionMethod.TWEET_TEXT_ELEMENT
+            )
+
+    def test_text_read_before_the_parser_gave_up_counts(self):
+        html = (
+            '<html><head><meta property="og:description" content="“read first”">'
+            "</head><body><![foo bar]><p>later</p></body></html>"
+        )
+        assert extract_archived_text(html) == ("read first", ExtractionMethod.META_DESCRIPTION)
+
+
 class TestFetchReplay:
+    def test_fetches_the_raw_replay(self):
+        transport = StubTransport().add(REF.raw_replay_url, body="<html>ok</html>")
+        fetch_replay(REF, transport)
+        assert transport.get_log == [
+            "https://web.archive.org/web/20220509011257id_/"
+            "https://twitter.com/PamKeithFL/status/1523141006509502470"
+        ]
+
     def test_returns_body_on_200(self):
-        transport = StubTransport().add(REF.replay_url, body="<html>ok</html>")
+        transport = StubTransport().add(REF.raw_replay_url, body="<html>ok</html>")
         assert fetch_replay(REF, transport) == "<html>ok</html>"
 
     def test_http_error_classified(self):
-        transport = StubTransport().add(REF.replay_url, body="gone", status=404)
+        transport = StubTransport().add(REF.raw_replay_url, body="gone", status=404)
         failure = fetch_replay(REF, transport)
         assert isinstance(failure, ReplayFailure)
         assert failure.reason is FailureReason.HTTP_ERROR
 
     def test_timeout_classified(self):
-        transport = StubTransport().add_error(REF.replay_url, NetworkError("slow", timed_out=True))
+        transport = StubTransport().add_error(REF.raw_replay_url, NetworkError("slow", timed_out=True))
         failure = fetch_replay(REF, transport)
         assert failure.reason is FailureReason.TIMEOUT
 
@@ -314,7 +342,7 @@ class TestFetchReplay:
         other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
         transport = (
             StubTransport()
-            .add(REF.replay_url, status=302, headers={"Location": other})
+            .add(REF.raw_replay_url, status=302, headers={"Location": other})
             .add(other, body="<html>target</html>")
         )
         assert fetch_replay(REF, transport) == "<html>target</html>"
@@ -323,7 +351,7 @@ class TestFetchReplay:
         other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
         transport = (
             StubTransport()
-            .add(REF.replay_url, status=302, headers={"location": other})
+            .add(REF.raw_replay_url, status=302, headers={"location": other})
             .add(other, body="<html>target</html>")
         )
         assert fetch_replay(REF, transport) == "<html>target</html>"
@@ -332,7 +360,7 @@ class TestFetchReplay:
         other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
         transport = (
             StubTransport()
-            .add(REF.replay_url, status=301,
+            .add(REF.raw_replay_url, status=301,
                  headers={"Location": "/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"})
             .add(other, body="ok")
         )
@@ -340,14 +368,32 @@ class TestFetchReplay:
 
     def test_offsite_redirect_refused(self):
         transport = StubTransport().add(
-            REF.replay_url, status=302, headers={"Location": "https://twitter.com/login"}
+            REF.raw_replay_url, status=302, headers={"Location": "https://twitter.com/login"}
         )
         failure = fetch_replay(REF, transport)
         assert failure.reason is FailureReason.HTTP_ERROR
 
+    @pytest.mark.parametrize("location", [
+        "https://twitter.com/PamKeithFL/status/1523141006509502470",
+        "https://web.archive.org.example.com/web/20220509011258id_/https://twitter.com/x/status/1",
+        "//archive.org/web/20220509011258id_/https://twitter.com/x/status/1",
+    ])
+    def test_raw_replay_redirect_leaving_the_archive_refused(self, location):
+        transport = StubTransport().add(
+            REF.raw_replay_url, status=302, headers={"Location": location}
+        )
+        assert fetch_replay(REF, transport) == ReplayFailure(
+            ref=REF, reason=FailureReason.HTTP_ERROR
+        )
+        assert len(transport.get_log) == 1
+
+    def test_unparseable_location_is_http_error(self):
+        transport = StubTransport().add(REF.raw_replay_url, status=302, headers={"Location": "//[x"})
+        assert fetch_replay(REF, transport).reason is FailureReason.HTTP_ERROR
+
     def test_six_consecutive_redirects_loop(self):
         transport = StubTransport()
-        urls = [REF.replay_url] + [
+        urls = [REF.raw_replay_url] + [
             f"https://web.archive.org/web/2022050901125{n}/https://twitter.com/x/status/1"
             for n in range(6)
         ]
@@ -359,7 +405,7 @@ class TestFetchReplay:
 
     def test_five_redirects_still_ok(self):
         transport = StubTransport()
-        urls = [REF.replay_url] + [
+        urls = [REF.raw_replay_url] + [
             f"https://web.archive.org/web/2022050901125{n}/https://twitter.com/x/status/1"
             for n in range(5)
         ]
@@ -369,13 +415,13 @@ class TestFetchReplay:
         assert fetch_replay(REF, transport) == "made it"
 
     def test_redirect_without_location(self):
-        transport = StubTransport().add(REF.replay_url, status=302)
+        transport = StubTransport().add(REF.raw_replay_url, status=302)
         assert fetch_replay(REF, transport).reason is FailureReason.HTTP_ERROR
 
 
 class TestResolveCandidate:
     def test_success(self):
-        transport = StubTransport().add(REF.replay_url, body=legacy_tweet_html("the text"))
+        transport = StubTransport().add(REF.raw_replay_url, body=legacy_tweet_html("the text"))
         outcome = resolve_candidate(REF, transport)
         assert isinstance(outcome, CandidateTweet)
         assert outcome.extracted_text == "the text"
@@ -383,24 +429,32 @@ class TestResolveCandidate:
         assert outcome.ui_generation_hint
 
     def test_meta_page(self):
-        transport = StubTransport().add(REF.replay_url, body=meta_tweet_html("meta text"))
+        transport = StubTransport().add(REF.raw_replay_url, body=meta_tweet_html("meta text"))
         outcome = resolve_candidate(REF, transport)
         assert outcome.extraction_method is ExtractionMethod.META_DESCRIPTION
 
     def test_no_text_becomes_failure(self):
-        transport = StubTransport().add(REF.replay_url, body="<html><body>js only</body></html>")
+        transport = StubTransport().add(REF.raw_replay_url, body="<html><body>js only</body></html>")
         outcome = resolve_candidate(REF, transport)
         assert isinstance(outcome, ReplayFailure)
         assert outcome.reason is FailureReason.NO_TWEET_TEXT
 
     def test_over_deep_json_ld_becomes_failure(self):
-        transport = StubTransport().add(REF.replay_url, body=deep_json_ld_html(5000))
+        transport = StubTransport().add(REF.raw_replay_url, body=deep_json_ld_html(5000))
         assert resolve_candidate(REF, transport) == ReplayFailure(
             ref=REF, reason=FailureReason.NO_TWEET_TEXT
         )
 
+    def test_malformed_marked_section_page(self):
+        transport = StubTransport().add(REF.raw_replay_url, body=MALFORMED_SECTION_PAGE)
+        outcome = resolve_candidate(REF, transport)
+        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
+            assert outcome == ReplayFailure(ref=REF, reason=FailureReason.NO_TWEET_TEXT)
+        else:
+            assert outcome.extracted_text == "x"
+
     def test_fetch_failure_passes_through(self):
-        transport = StubTransport().add(REF.replay_url, status=404)
+        transport = StubTransport().add(REF.raw_replay_url, status=404)
         outcome = resolve_candidate(REF, transport)
         assert isinstance(outcome, ReplayFailure)
         assert outcome.reason is FailureReason.HTTP_ERROR
@@ -412,7 +466,7 @@ class TestResolveCandidate:
             "<html>nothing</html>",
         ]
         for body in pages:
-            transport = StubTransport().add(REF.replay_url, body=body)
+            transport = StubTransport().add(REF.raw_replay_url, body=body)
             outcome = resolve_candidate(REF, transport)
             assert isinstance(outcome, (CandidateTweet, ReplayFailure))
 
@@ -420,3 +474,52 @@ class TestResolveCandidate:
 def test_candidate_tweet_requires_text():
     with pytest.raises(ValueError):
         CandidateTweet(ref=REF, extracted_text="", extraction_method=ExtractionMethod.JSON_LD)
+
+
+# Wire fragments a hostile or broken archive page can carry, including the
+# declaration, comment and character-reference openers html.parser is
+# strictest about.
+_HOSTILE_BODY = st.lists(
+    st.sampled_from([
+        "<![", "<!--", "-->", "<!", "<?", "]]>", "]>", "&#", "&#x", ";", "&",
+        '"', "'", "<", ">", "/", "=", " ", "x", "9", "tweet-text", "<p class=", "</p>",
+        '<meta property="og:description" content=', "<br>",
+        '<script type="application/ld+json">', "</script>", "{", "}", "[", "]",
+        "CDATA", "DOCTYPE", TOOLBAR_BEGIN, TOOLBAR_END,
+    ]) | st.text(max_size=2),
+    max_size=30,
+).map("".join)
+
+TARGET = "https://web.archive.org/web/20220509011258id_/https://twitter.com/x/status/1"
+
+
+class TestHostileResponses:
+    # 500 examples: at 100, about a third of seeds missed the "<![" crash.
+    @settings(max_examples=500)
+    @given(_HOSTILE_BODY)
+    def test_any_page_resolves_to_a_result(self, body):
+        transport = StubTransport().add(REF.raw_replay_url, body=body)
+        outcome = resolve_candidate(REF, transport)
+        assert isinstance(outcome, (CandidateTweet, ReplayFailure))
+        assert outcome.ref is REF
+
+    @given(
+        status=st.sampled_from([301, 302, 303, 307, 308]),
+        location=st.one_of(
+            st.none(),
+            st.sampled_from([TARGET, "/web/20220509011258id_/x", "https://twitter.com/login",
+                             "//[", "http://[::1", "https://web.archive.org:99999/"]),
+            st.text(max_size=20),
+        ),
+        target_body=_HOSTILE_BODY,
+    )
+    def test_any_redirect_resolves_to_a_result(self, status, location, target_body):
+        headers = {} if location is None else {"Location": location}
+        transport = (
+            StubTransport()
+            .add(REF.raw_replay_url, status=status, headers=headers)
+            .add(TARGET, body=target_body)
+        )
+        outcome = resolve_candidate(REF, transport)
+        assert isinstance(outcome, (CandidateTweet, ReplayFailure))
+        assert outcome.ref is REF
