@@ -1,8 +1,8 @@
 """Wayback Machine CDX search: window construction, query building, row handling.
 
-The screenshot timestamp is a wall clock in an unknown timezone, anywhere
-from UTC-12 to UTC+14, so the tweet's true UTC creation time lies within
-26 hours either side of it. The CDX query uses that window's left edge as
+The screenshot timestamp is a wall clock in an unknown timezone, so the
+tweet's true UTC creation time lies within WINDOW_SLACK either side of
+it. The CDX query uses that window's left edge as
 ``from=`` (captures can only happen after posting) and an ID-prefix regex
 derived from the window's Snowflake bounds to cut the result set down;
 the right edge is enforced locally by decoding each row's tweet ID, since
@@ -31,6 +31,10 @@ REPLAY_BASE = "https://web.archive.org/web/"
 
 CDX_FIELD_COUNT = 7
 
+# UTC offsets run from -12:00 to +14:00, so a wall clock read as UTC is
+# at most 26 hours off the true instant, in either direction.
+WINDOW_SLACK = timedelta(hours=26)
+
 # re.ASCII: int() accepts any Unicode decimal digit, so without it a path
 # in, say, Arabic-Indic digits would yield a tweet ID that its replay URL
 # does not name.
@@ -45,7 +49,6 @@ class IncompleteHandleError(ValueError):
 class ArchiveWindow:
     """UTC interval that must contain the tweet's creation time."""
 
-    center: datetime
     from_ts: datetime
     to_ts: datetime
 
@@ -106,19 +109,16 @@ class CandidateRef:
         return build_replay_url(timestamp14, original_url, raw=True)
 
 
-def build_window(ts: ScreenshotTimestamp, hours: int = 26) -> ArchiveWindow:
-    """Bracket the screenshot timestamp with the timezone-slack window.
+def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
+    """Bracket the screenshot timestamp with WINDOW_SLACK on each side.
 
     The wall clock is read directly as UTC; the slack absorbs whatever the
     real offset was. A date-only timestamp widens to cover its whole day.
     """
-    center = ts.as_datetime()
-    slack = timedelta(hours=hours)
-    if ts.has_time_of_day:
-        return ArchiveWindow(center=center, from_ts=center - slack, to_ts=center + slack)
-    day_start = datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc)
-    day_end = day_start + timedelta(hours=23, minutes=59, seconds=59)
-    return ArchiveWindow(center=center, from_ts=day_start - slack, to_ts=day_end + slack)
+    start = end = ts.as_datetime()
+    if not ts.has_time_of_day:
+        end = start + timedelta(hours=23, minutes=59, seconds=59)
+    return ArchiveWindow(from_ts=start - WINDOW_SLACK, to_ts=end + WINDOW_SLACK)
 
 
 def build_cdx_query(

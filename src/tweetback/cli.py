@@ -59,9 +59,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--threshold", type=float, default=defaults.threshold,
                         help="text-overlap score required for a match "
                              f"(default {defaults.threshold:.2f})")
-    verify.add_argument("--window-hours", type=int, default=defaults.window_hours,
-                        help="half-width of the archival search window "
-                             f"(default {defaults.window_hours})")
     archive = verify.add_mutually_exclusive_group()
     archive.add_argument("--fixtures", metavar="DIR", help="replay recorded HTTP fixtures")
     archive.add_argument("--record", metavar="DIR", help="hit the live web, recording fixtures")
@@ -114,7 +111,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_document(args)
     config = PipelineConfig(
         threshold=args.threshold,
-        window_hours=args.window_hours,
         transport_mode=_transport_mode(args),
         top_scores=args.top,
     )

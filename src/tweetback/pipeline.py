@@ -4,8 +4,9 @@ One run walks the whole chain: extract fields, build the ±26h window,
 derive the Snowflake ID bounds and prefix filter, query the CDX index,
 dedup and window-filter the rows, replay each candidate, score the text
 overlap, and decide. Archive search needs both a complete handle and a
-timestamp; when either is missing the run short-circuits to NotFound
-with a warning instead of guessing.
+timestamp; when either is missing, or the window ends before the first
+Snowflake ID, the run short-circuits to NotFound with a warning instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -56,15 +57,12 @@ class TransportMode:
 @dataclass
 class PipelineConfig:
     threshold: float = matching.DEFAULT_THRESHOLD
-    window_hours: int = 26
     transport_mode: TransportMode = field(default_factory=TransportMode.live)
     top_scores: int = 5
 
     def validate(self) -> None:
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold {self.threshold} outside (0, 1]")
-        if self.window_hours < 1:
-            raise ConfigError("window_hours must be at least 1")
         if self.transport_mode.kind not in ("live", "fixture", "record"):
             raise ConfigError(f"unknown transport mode {self.transport_mode.kind!r}")
         if self.transport_mode.kind != "live" and self.transport_mode.path is None:
@@ -212,9 +210,12 @@ def run_pipeline(
     if not fields.handle.complete:
         return _short_circuit(doc, fields, config, "incomplete handle")
 
+    window = cdx.build_window(fields.timestamp)
+    if window.to_ts < snowflake.SNOWFLAKE_EPOCH:
+        return _short_circuit(doc, fields, config, "timestamp precedes Snowflake tweet IDs")
+
     warnings: list[str] = []
-    window = cdx.build_window(fields.timestamp, hours=config.window_hours)
-    low, _ = snowflake.time_to_id_bounds(window.from_ts)
+    low, _ = snowflake.time_to_id_bounds(max(window.from_ts, snowflake.SNOWFLAKE_EPOCH))
     _, high = snowflake.time_to_id_bounds(window.to_ts)
     id_filter = snowflake.common_prefix_filter(low, high)
     if id_filter is None:

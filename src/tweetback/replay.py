@@ -16,11 +16,9 @@ Parsing is done with the standard library's error-recovering HTMLParser,
 since archived pages are frequently truncated or malformed. Where it
 gives up on markup it cannot read (some Python versions raise on a
 malformed ``<![`` section), the scan ends there and the strategies use
-what was read. A page is read only as far as the answer: the toolbar the
-Wayback Machine inserts into plain replays, which fixtures recorded
-before the raw fetch still hold, is skipped, and the scan stops at the
-end of the first non-empty ``tweet-text`` element, since nothing after
-it can change the result.
+what was read. A page is read only as far as the answer: the scan stops
+at the end of the first non-empty ``tweet-text`` element, since nothing
+after it can change the result.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from html.parser import HTMLParser
 from urllib.parse import urljoin, urlparse
 
 from .cdx import CandidateRef
-from .transport import HttpTransport, NetworkError, TransportError
+from .transport import FixtureMissingError, HttpTransport, NetworkError, TransportError
 
 MAX_REDIRECT_HOPS = 5
 
@@ -42,9 +40,6 @@ REPLAY_HOST = "web.archive.org"
 _VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
-
-TOOLBAR_BEGIN = "<!-- BEGIN WAYBACK TOOLBAR INSERT -->"
-TOOLBAR_END = "<!-- END WAYBACK TOOLBAR INSERT -->"
 
 _QUOTE_PAIRS = (("“", "”"), ('"', '"'), ("‘", "’"), ("'", "'"))
 
@@ -233,15 +228,12 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
     that yields only whitespace does not count as a success. Raises
     NoTweetTextFound when every strategy comes up empty.
 
-    A Wayback toolbar insert (BEGIN marker, then a later END marker) is
-    the archive's own markup, not the capture's, and is not parsed.
     Markup the parser gives up on ends the scan; what was read before it
     still counts.
     """
     scan = _PageScan()
     try:
-        for part in _without_toolbar(html):
-            scan.feed(part)
+        scan.feed(html)
         scan.close()
     except (_TweetTextFound, AssertionError):
         # AssertionError is html.parser's own error for markup it cannot
@@ -267,22 +259,14 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
     raise NoTweetTextFound("no tweet text in replayed page")
 
 
-def _without_toolbar(html: str) -> tuple[str, ...]:
-    begin = html.find(TOOLBAR_BEGIN)
-    if begin < 0:
-        return (html,)
-    end = html.find(TOOLBAR_END, begin + len(TOOLBAR_BEGIN))
-    if end < 0:
-        return (html,)
-    return html[:begin], html[end + len(TOOLBAR_END):]
-
-
 def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFailure:
     """Fetch a candidate's raw replay, following redirects only within
     web.archive.org.
 
-    All failures come back as ReplayFailure values rather than exceptions,
-    so one bad candidate never aborts a batch.
+    Failures of the archive come back as ReplayFailure values rather than
+    exceptions, so one bad candidate never aborts a batch. A missing
+    fixture is not one: it says nothing about the archive, so
+    FixtureMissingError propagates, as it does from the CDX fetch.
     """
     url = ref.raw_replay_url
     for _ in range(MAX_REDIRECT_HOPS + 1):
@@ -291,6 +275,8 @@ def fetch_replay(ref: CandidateRef, transport: HttpTransport) -> str | ReplayFai
         except NetworkError as err:
             reason = FailureReason.TIMEOUT if err.timed_out else FailureReason.HTTP_ERROR
             return ReplayFailure(ref=ref, reason=reason)
+        except FixtureMissingError:
+            raise
         except TransportError:
             return ReplayFailure(ref=ref, reason=FailureReason.HTTP_ERROR)
         if response.status in (301, 302, 303, 307, 308):

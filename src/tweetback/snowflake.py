@@ -14,10 +14,11 @@ from datetime import datetime, timedelta, timezone
 
 # Twitter Snowflake epoch: 2010-11-04T01:42:54.657Z.
 SNOWFLAKE_EPOCH_MS = 1288834974657
+SNOWFLAKE_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(
+    milliseconds=SNOWFLAKE_EPOCH_MS
+)
 TIMESTAMP_SHIFT = 22
 LOW_BITS_MASK = (1 << TIMESTAMP_SHIFT) - 1
-
-_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class PreSnowflakeIdError(ValueError):
@@ -40,7 +41,7 @@ def id_to_time(tweet_id: int) -> datetime:
     offset_ms = tweet_id >> TIMESTAMP_SHIFT
     if offset_ms == 0:
         raise PreSnowflakeIdError(f"pre-Snowflake tweet ID: {tweet_id}")
-    return _UNIX_EPOCH + timedelta(milliseconds=SNOWFLAKE_EPOCH_MS + offset_ms)
+    return SNOWFLAKE_EPOCH + timedelta(milliseconds=offset_ms)
 
 
 def time_to_id_bounds(t: datetime) -> tuple[int, int]:
@@ -52,7 +53,7 @@ def time_to_id_bounds(t: datetime) -> tuple[int, int]:
     """
     if t.tzinfo is None:
         t = t.replace(tzinfo=timezone.utc)
-    offset_ms = (t - _UNIX_EPOCH) // timedelta(milliseconds=1) - SNOWFLAKE_EPOCH_MS
+    offset_ms = (t - SNOWFLAKE_EPOCH) // timedelta(milliseconds=1)
     if offset_ms < 0:
         raise TimeBeforeEpochError(f"{t.isoformat()} precedes the Snowflake epoch")
     low = offset_ms << TIMESTAMP_SHIFT

@@ -18,9 +18,14 @@ from tweetback.transport import (
 
 
 class StubTransport(HttpTransport):
-    """In-memory transport mapping URLs to canned responses or exceptions."""
+    """In-memory transport mapping URLs to canned responses or exceptions.
 
-    def __init__(self) -> None:
+    An unregistered URL gets ``fallback`` when one is given, and raises
+    FixtureMissingError otherwise.
+    """
+
+    def __init__(self, fallback: HttpResponse | None = None) -> None:
+        self.fallback = fallback
         self._get: dict[str, HttpResponse | Exception] = {}
         self._post: dict[str, HttpResponse | Exception] = {}
         self.get_log: list[str] = []
@@ -51,9 +56,8 @@ class StubTransport(HttpTransport):
         self.post_log.append((url, data, headers))
         return self._lookup(self._post, url)
 
-    @staticmethod
-    def _lookup(table: dict, url: str) -> HttpResponse:
-        entry = table.get(url)
+    def _lookup(self, table: dict, url: str) -> HttpResponse:
+        entry = table.get(url, self.fallback)
         if entry is None:
             raise FixtureMissingError(url, Path("<stub>"))
         if isinstance(entry, Exception):

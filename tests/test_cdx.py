@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
@@ -52,10 +52,6 @@ class TestBuildWindow:
         window = build_window(ScreenshotTimestamp(2022, 5, 7))
         assert window.from_ts == datetime(2022, 5, 5, 22, 0, tzinfo=UTC)
         assert window.to_ts == datetime(2022, 5, 9, 1, 59, 59, tzinfo=UTC)
-
-    def test_custom_width(self):
-        window = build_window(PAM_TS, hours=1)
-        assert window.to_ts - window.from_ts == timedelta(hours=2)
 
     @given(
         st.datetimes(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 from helpers import StubTransport
@@ -12,6 +13,8 @@ from tweetback.cli import (
     main,
 )
 from tweetback.transport import RecordingTransport
+
+PRE_SNOWFLAKE_OCR = "@someone\nhello world\n4:08 PM 2009-05-25\n"
 
 
 class TestVerify:
@@ -79,6 +82,36 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert f"HTTP 429 for {query}" in capsys.readouterr().err
 
+    def test_missing_replay_fixtures_are_error(self, capsys, pam_ocr_path, pam_fixtures_dir, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(pam_fixtures_dir, fixtures)
+        manifest = json.loads((fixtures / "manifest.json").read_text())
+        replays = [key for key, entry in manifest.items() if "id_/" in entry["url"]]
+        assert len(replays) == 5
+        for key in replays:
+            (fixtures / f"{key}.body").unlink()
+        code = main(["verify", "--ocr-text", str(pam_ocr_path), "--fixtures", str(fixtures)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no fixture for https://web.archive.org/web/" in captured.err
+        assert "id_/" in captured.err
+
+    def test_pre_snowflake_date_exits_not_found(self, capsys, tmp_path):
+        shot = tmp_path / "old.txt"
+        shot.write_text(PRE_SNOWFLAKE_OCR)
+        code = main(["verify", "--ocr-text", str(shot), "--fixtures", str(tmp_path / "none")])
+        assert code == EXIT_NOT_FOUND
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["warnings"] == ["timestamp precedes Snowflake tweet IDs"]
+
+    def test_window_width_is_not_settable(self, capsys, pam_ocr_path, pam_fixtures_dir):
+        code = main([
+            "verify", "--ocr-text", str(pam_ocr_path),
+            "--fixtures", str(pam_fixtures_dir), "--window-hours", "26",
+        ])
+        assert code == EXIT_USAGE
+
 
 class TestExtract:
     def test_prints_fields(self, capsys, pam_ocr_path):
@@ -144,6 +177,22 @@ class TestEvaluate:
 
     def test_empty_corpus_succeeds(self, capsys, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path)]) == 0
+
+    def test_pre_snowflake_document_is_a_true_negative(self, capsys, tmp_path):
+        (tmp_path / "ocr").mkdir()
+        (tmp_path / "ocr" / "old.txt").write_text(PRE_SNOWFLAKE_OCR)
+        (tmp_path / "ground_truth.csv").write_text(
+            "source_id,true_handle,true_timestamp_iso8601,archive_state,expected_tweet_id\n"
+            "old,someone,2009-05-25T16:08,not_archived,\n"
+        )
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--corpus", str(tmp_path), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["record_count"] == 1
+        assert payload["missing_fixtures"] == []
+        for threshold in ("0.80", "0.90"):
+            counts = payload["verification"][threshold]
+            assert (counts["tp"], counts["fp"], counts["fn"], counts["tn"]) == (0, 0, 0, 1)
 
 
 class TestUsage:

@@ -272,6 +272,20 @@ class TestRunEvaluation:
         assert report.missing_fixtures == ["e01_alice_park"]
         assert report.record_count == 11
 
+    def test_missing_replay_fixture_listed_and_skipped(self, eval_corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(eval_corpus_dir, corpus)
+        manifest = json.loads((corpus / "fixtures" / "manifest.json").read_text())
+        [victim] = [
+            key for key, entry in manifest.items()
+            if "id_/" in entry["url"] and "jon_metro" in entry["url"]
+        ]
+        (corpus / "fixtures" / f"{victim}.body").unlink()
+        report = run_evaluation(corpus)
+        assert report.missing_fixtures == ["e11_jon_metro"]
+        assert report.record_count == 11
+        assert report.verification[0.80].total == 10
+
     def test_missing_ground_truth_listed(self, eval_corpus_dir, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(eval_corpus_dir, corpus)

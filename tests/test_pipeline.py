@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     MALFORMED_SECTION_PAGE,
@@ -26,8 +29,8 @@ from tweetback.pipeline import (
     VerdictReport,
     run_pipeline,
 )
-from tweetback.snowflake import common_prefix_filter, time_to_id_bounds
-from tweetback.transport import FixtureTransport, RecordingTransport
+from tweetback.snowflake import SNOWFLAKE_EPOCH, common_prefix_filter, time_to_id_bounds
+from tweetback.transport import FixtureTransport, HttpResponse, RecordingTransport
 
 PAM_EVIDENCE_URL = (
     "https://web.archive.org/web/20220509011257/"
@@ -136,6 +139,51 @@ class TestShortCircuits:
         assert transport.get_log == []
 
 
+class TestPreSnowflakeDates:
+    """Screenshot dates run from 2006; tweet IDs encode time only from
+    SNOWFLAKE_EPOCH (2010-11-04T01:42:54.657Z) on."""
+
+    @staticmethod
+    def _empty_archive() -> StubTransport:
+        return StubTransport(fallback=HttpResponse(status=200, body=""))
+
+    def test_window_before_epoch_short_circuits(self):
+        doc = OcrDocument("x", ("@someone", "hello world", "4:08 PM 2009-05-25"))
+        transport = self._empty_archive()
+        report = run_pipeline(doc, PipelineConfig(), transport=transport)
+        assert report.verdict.kind is VerdictKind.NOT_FOUND
+        assert report.warnings == ["timestamp precedes Snowflake tweet IDs"]
+        assert transport.get_log == []
+
+    def test_window_straddling_epoch_queries_without_id_prefix(self):
+        doc = OcrDocument("x", ("@someone", "hello world", "4:08 PM 2010-11-03"))
+        transport = self._empty_archive()
+        report = run_pipeline(doc, PipelineConfig(), transport=transport)
+        assert report.verdict.kind is VerdictKind.NOT_FOUND
+        assert transport.get_log == [report.cdx_query]
+        assert "?url=https://twitter.com/someone/status&from=20101102140800&" in report.cdx_query
+        assert "ID bounds differ in decimal length; querying without narrowing" in report.warnings
+
+    @given(
+        st.dates(min_value=date(2006, 1, 1), max_value=datetime.now(timezone.utc).date()),
+        st.none() | st.tuples(st.integers(0, 23), st.integers(0, 59)),
+    )
+    def test_every_screenshot_date_finishes(self, day, time_of_day):
+        line = day.isoformat()
+        if time_of_day is not None:
+            line = f"{time_of_day[0]:02d}:{time_of_day[1]:02d} {line}"
+        doc = OcrDocument("x", ("@someone", "hello world", line))
+        transport = self._empty_archive()
+        report = run_pipeline(doc, PipelineConfig(), transport=transport)
+        ts = report.fields.timestamp
+        assert (ts.as_datetime().date(), ts.has_time_of_day) == (day, time_of_day is not None)
+        assert report.verdict.kind is VerdictKind.NOT_FOUND
+        if build_window(ts).to_ts < SNOWFLAKE_EPOCH:
+            assert transport.get_log == []
+        else:
+            assert transport.get_log == [report.cdx_query]
+
+
 class TestVerdictsEndToEnd:
     DOC = OcrDocument(
         "shot-1",
@@ -161,8 +209,8 @@ class TestVerdictsEndToEnd:
         assert report.cdx_rows == 0
 
     def test_all_replays_failing_yields_non_replayable(self):
-        tweet_id = (time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 42
+        tweet_id = (time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]) | 42
         row = cdx_line("some_person", tweet_id, "20220526000000")
         url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (404, "gone")})
@@ -172,8 +220,8 @@ class TestVerdictsEndToEnd:
         assert report.replayed_ok == 0
 
     def test_matching_candidate_yields_archived(self):
-        tweet_id = (time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 7
+        tweet_id = (time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]) | 7
         row = cdx_line("some_person", tweet_id, "20220526000000")
         url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with(
@@ -184,8 +232,8 @@ class TestVerdictsEndToEnd:
         assert report.verdict.evidence.candidate.ref.tweet_id == tweet_id
 
     def test_over_deep_json_ld_page_yields_a_report(self):
-        tweet_id = (time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 9
+        tweet_id = (time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]) | 9
         row = cdx_line("some_person", tweet_id, "20220526000000")
         url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (200, deep_json_ld_html(5000))})
@@ -194,8 +242,8 @@ class TestVerdictsEndToEnd:
         assert [f.reason.value for f in report.verdict.failures] == ["no_tweet_text_found"]
 
     def test_malformed_marked_section_page_yields_a_report(self):
-        tweet_id = (time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]) | 11
+        tweet_id = (time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]) | 11
         row = cdx_line("some_person", tweet_id, "20220526000000")
         url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (200, MALFORMED_SECTION_PAGE)})
@@ -207,8 +255,8 @@ class TestVerdictsEndToEnd:
             assert (report.verdict.kind, report.replayed_ok) == (VerdictKind.NOT_FOUND, 1)
 
     def test_fetches_raw_replays_and_reports_plain_urls(self):
-        base = time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]
+        base = time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]
         ok, gone = base | 7, base | 8
         stamp = "20220526000000"
         transport = self._transport_with(
@@ -229,8 +277,8 @@ class TestVerdictsEndToEnd:
         ]
 
     def _run_with_candidates(self, count: int) -> VerdictReport:
-        base = time_to_id_bounds(build_window(
-            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3)).center)[0]
+        base = time_to_id_bounds(
+            ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]
         ids = [base | (7 + i) for i in range(count)]
         transport = self._transport_with(
             [cdx_line("some_person", i, "20220526000000") for i in ids],
@@ -296,7 +344,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"threshold": 0.0},
         {"threshold": 1.5},
-        {"window_hours": 0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -18,8 +18,6 @@ from helpers import (
 )
 from tweetback.cdx import CandidateRef
 from tweetback.replay import (
-    TOOLBAR_BEGIN,
-    TOOLBAR_END,
     CandidateTweet,
     ExtractionMethod,
     FailureReason,
@@ -30,7 +28,7 @@ from tweetback.replay import (
     resolve_candidate,
 )
 from tweetback.replay import _find_string_field, _PageScan, _TweetTextFound
-from tweetback.transport import NetworkError
+from tweetback.transport import FixtureMissingError, HttpResponse, NetworkError
 
 REF = CandidateRef(
     replay_url=(
@@ -247,55 +245,6 @@ class TestEarlyExit:
         )
 
 
-def _with_toolbar(page: str, inner: str) -> str:
-    return page.replace("<body>", f"<body>{TOOLBAR_BEGIN}{inner}{TOOLBAR_END}", 1)
-
-
-class TestToolbarSkipped:
-    def test_tweet_text_inside_toolbar_ignored(self):
-        inner = '<div id="wm-ipp"><p class="tweet-text">toolbar chrome</p></div>'
-        html = _with_toolbar(legacy_tweet_html("the real tweet"), inner)
-        assert extract_archived_text(html) == (
-            "the real tweet", ExtractionMethod.TWEET_TEXT_ELEMENT
-        )
-
-    def test_og_description_inside_toolbar_ignored(self):
-        inner = '<meta property="og:description" content="toolbar chrome">'
-        html = _with_toolbar(jsonld_tweet_html("from the json island"), inner)
-        assert extract_archived_text(html) == (
-            "from the json island", ExtractionMethod.JSON_LD
-        )
-
-    def test_toolbar_alone_is_not_tweet_text(self):
-        html = f'<body>{TOOLBAR_BEGIN}<p class="tweet-text">chrome</p>{TOOLBAR_END}</body>'
-        with pytest.raises(NoTweetTextFound):
-            extract_archived_text(html)
-
-    def test_begin_without_end_parses_whole_page(self):
-        html = f'<body>{TOOLBAR_BEGIN}<p class="tweet-text">inside</p></body>'
-        assert extract_archived_text(html)[0] == "inside"
-
-    def test_end_before_begin_parses_whole_page(self):
-        # truncated inside the element: any markup read twice would show
-        html = f'<body>{TOOLBAR_END}<div class="tweet-text">between {TOOLBAR_BEGIN}'
-        assert extract_archived_text(html)[0] == "between"
-
-    @given(st.lists(_FRAGMENTS, max_size=8), st.lists(_FRAGMENTS, max_size=8))
-    def test_toolbar_content_never_matters(self, page, toolbar):
-        bare = "<html><head></head><body>" + "".join(page) + "</body></html>"
-        toolbar_html = "<div>" + "".join(toolbar) + "</div>"
-        try:
-            expected = extract_archived_text(bare)
-        except NoTweetTextFound:
-            expected = None
-        try:
-            got = extract_archived_text(_with_toolbar(bare, toolbar_html))
-        except NoTweetTextFound:
-            got = None
-        assert got == expected
-
-
-
 class TestParserGivesUp:
     def test_malformed_marked_section_is_not_a_crash(self):
         if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
@@ -337,6 +286,17 @@ class TestFetchReplay:
         transport = StubTransport().add_error(REF.raw_replay_url, NetworkError("slow", timed_out=True))
         failure = fetch_replay(REF, transport)
         assert failure.reason is FailureReason.TIMEOUT
+
+    def test_missing_fixture_propagates(self):
+        with pytest.raises(FixtureMissingError):
+            fetch_replay(REF, StubTransport())
+
+    def test_missing_fixture_after_a_redirect_propagates(self):
+        other = "https://web.archive.org/web/20220509011258id_/https://twitter.com/x/status/1"
+        transport = StubTransport().add(REF.raw_replay_url, status=302, headers={"Location": other})
+        with pytest.raises(FixtureMissingError):
+            resolve_candidate(REF, transport)
+        assert transport.get_log == [REF.raw_replay_url, other]
 
     def test_redirect_followed_within_archive(self):
         other = "https://web.archive.org/web/20220509011258/https://twitter.com/PamKeithFL/status/1523141006509502470"
@@ -485,7 +445,8 @@ _HOSTILE_BODY = st.lists(
         '"', "'", "<", ">", "/", "=", " ", "x", "9", "tweet-text", "<p class=", "</p>",
         '<meta property="og:description" content=', "<br>",
         '<script type="application/ld+json">', "</script>", "{", "}", "[", "]",
-        "CDATA", "DOCTYPE", TOOLBAR_BEGIN, TOOLBAR_END,
+        "CDATA", "DOCTYPE", "<!-- BEGIN WAYBACK TOOLBAR INSERT -->",
+        "<!-- END WAYBACK TOOLBAR INSERT -->",
     ]) | st.text(max_size=2),
     max_size=30,
 ).map("".join)
@@ -516,7 +477,7 @@ class TestHostileResponses:
     def test_any_redirect_resolves_to_a_result(self, status, location, target_body):
         headers = {} if location is None else {"Location": location}
         transport = (
-            StubTransport()
+            StubTransport(fallback=HttpResponse(status=404, body=""))
             .add(REF.raw_replay_url, status=status, headers=headers)
             .add(TARGET, body=target_body)
         )
