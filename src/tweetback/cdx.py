@@ -2,13 +2,14 @@
 
 The screenshot timestamp is a wall clock in an unknown timezone, so the
 tweet's true UTC creation time lies within WINDOW_SLACK either side of
-it. The CDX query uses that window's left edge as
+it. build_window also derives, once, the range of Snowflake tweet IDs
+minted inside that window. The CDX query uses the window's left edge as
 ``from=`` (captures can only happen after posting) and an ID-prefix regex
-derived from the window's Snowflake bounds to cut the result set down;
-the right edge is enforced locally by decoding each row's tweet ID, since
-a capture may be taken long after the tweet was posted. The server
-collapses the rows to one per urlkey, so it sends only the row that
-dedup keeps.
+derived from the ID range to cut the result set down; rows are then kept
+by comparing their tweet ID with the range, since the prefix admits more
+IDs and a capture may be taken long after the tweet was posted. The
+server collapses the rows to one per urlkey, so it sends only the row
+that dedup keeps.
 
 Each capture has two replay URLs, both built here: the plain one, which
 the report cites for a human to open, and the raw ``id_`` one, which is
@@ -22,8 +23,8 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
+from . import snowflake
 from .extraction import ExtractedHandle, ScreenshotTimestamp
-from .snowflake import IdPrefixFilter, PreSnowflakeIdError, id_to_time
 from .transport import HttpStatusError, HttpTransport
 
 CDX_ENDPOINT = "https://web.archive.org/cdx/search/cdx"
@@ -47,10 +48,13 @@ class IncompleteHandleError(ValueError):
 
 @dataclass(frozen=True)
 class ArchiveWindow:
-    """UTC interval that must contain the tweet's creation time."""
+    """UTC interval that must contain the tweet's creation time, and the
+    tweet IDs that can have been minted inside it: [low_id, high_id]."""
 
     from_ts: datetime
     to_ts: datetime
+    low_id: int
+    high_id: int
 
     def __post_init__(self) -> None:
         if self.from_ts >= self.to_ts:
@@ -114,17 +118,24 @@ def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
 
     The wall clock is read directly as UTC; the slack absorbs whatever the
     real offset was. A date-only timestamp widens to cover its whole day.
+    A window that starts before the Snowflake epoch takes its low ID from
+    the epoch; one that ends before it raises TimeBeforeEpochError.
     """
     start = end = ts.as_datetime()
     if not ts.has_time_of_day:
         end = start + timedelta(hours=23, minutes=59, seconds=59)
-    return ArchiveWindow(from_ts=start - WINDOW_SLACK, to_ts=end + WINDOW_SLACK)
+    from_ts, to_ts = start - WINDOW_SLACK, end + WINDOW_SLACK
+    # Both edges are whole seconds, which time_to_id_bounds maps without
+    # rounding: the range holds exactly the IDs minted inside the window.
+    low_id, _ = snowflake.time_to_id_bounds(max(from_ts, snowflake.SNOWFLAKE_EPOCH))
+    _, high_id = snowflake.time_to_id_bounds(to_ts)
+    return ArchiveWindow(from_ts, to_ts, low_id, high_id)
 
 
 def build_cdx_query(
     handle: ExtractedHandle,
     window: ArchiveWindow,
-    id_filter: IdPrefixFilter | None = None,
+    id_filter: snowflake.IdPrefixFilter | None = None,
 ) -> str:
     """Build the prefix-match CDX query URL for a handle's status pages.
 
@@ -202,7 +213,8 @@ def dedup_candidates(records: list[CdxRecord]) -> list[CdxRecord]:
 def filter_by_window(
     records: list[CdxRecord], window: ArchiveWindow
 ) -> tuple[list[CandidateRef], list[str]]:
-    """Keep records whose decoded tweet-ID creation time falls inside the window."""
+    """Keep records whose tweet ID lies in the window's ID range, which
+    holds exactly the IDs whose creation time is in the window."""
     candidates: list[CandidateRef] = []
     warnings: list[str] = []
     for record in records:
@@ -211,12 +223,10 @@ def filter_by_window(
             warnings.append(f"no tweet ID in {record.original_url}")
             continue
         tweet_id = int(match.group(1))
-        try:
-            created_at = id_to_time(tweet_id)
-        except PreSnowflakeIdError:
-            warnings.append(f"pre-Snowflake tweet ID in {record.original_url}")
+        if not snowflake.is_snowflake_id(tweet_id):
+            warnings.append(f"not a Snowflake tweet ID in {record.original_url}")
             continue
-        if not window.from_ts <= created_at <= window.to_ts:
+        if not window.low_id <= tweet_id <= window.high_id:
             continue
         candidates.append(
             CandidateRef(

@@ -1,7 +1,7 @@
 """End-to-end verification pipeline: OCR lines in, JSON verdict report out.
 
-One run walks the whole chain: extract fields, build the ±26h window,
-derive the Snowflake ID bounds and prefix filter, query the CDX index,
+One run walks the whole chain: extract fields, build the ±26h window
+and its Snowflake ID range, derive the prefix filter, query the CDX index,
 dedup and window-filter the rows, replay each candidate, score the text
 overlap, and decide. Archive search needs both a complete handle and a
 timestamp; when either is missing, or the window ends before the first
@@ -210,14 +210,13 @@ def run_pipeline(
     if not fields.handle.complete:
         return _short_circuit(doc, fields, config, "incomplete handle")
 
-    window = cdx.build_window(fields.timestamp)
-    if window.to_ts < snowflake.SNOWFLAKE_EPOCH:
+    try:
+        window = cdx.build_window(fields.timestamp)
+    except snowflake.TimeBeforeEpochError:
         return _short_circuit(doc, fields, config, "timestamp precedes Snowflake tweet IDs")
 
     warnings: list[str] = []
-    low, _ = snowflake.time_to_id_bounds(max(window.from_ts, snowflake.SNOWFLAKE_EPOCH))
-    _, high = snowflake.time_to_id_bounds(window.to_ts)
-    id_filter = snowflake.common_prefix_filter(low, high)
+    id_filter = snowflake.common_prefix_filter(window.low_id, window.high_id)
     if id_filter is None:
         warnings.append("ID bounds differ in decimal length; querying without narrowing")
     query = cdx.build_cdx_query(fields.handle, window, id_filter)

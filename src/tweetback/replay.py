@@ -13,12 +13,13 @@ which carries no toolbar and no rewritten links; results cite the plain
 replay URL.
 
 Parsing is done with the standard library's error-recovering HTMLParser,
-since archived pages are frequently truncated or malformed. Where it
-gives up on markup it cannot read (some Python versions raise on a
-malformed ``<![`` section), the scan ends there and the strategies use
-what was read. A page is read only as far as the answer: the scan stops
-at the end of the first non-empty ``tweet-text`` element, since nothing
-after it can change the result.
+since archived pages are frequently truncated or malformed. A ``<![``
+section with an unknown keyword is skipped to its ``>`` on every Python
+version. Where the parser still gives up on markup it cannot read, the
+scan ends there and the strategies use what was read. A page is read
+only as far as the answer: the scan stops at the end of the first
+non-empty ``tweet-text`` element, since nothing after it can change the
+result.
 """
 
 from __future__ import annotations
@@ -169,6 +170,16 @@ class _PageScan(HTMLParser):
         if self._capture_stack and not self._skip_data_depth:
             self.tweet_text_parts.append(data)
 
+    def parse_marked_section(self, i: int, report: int = 1) -> int:
+        # Python 3.10 to 3.13.0 at least raise AssertionError on a "<![" section
+        # with an unknown keyword, such as "<![foo bar]>"; later versions read it
+        # as a bogus comment. Skip it to its ">" on every version, as they do.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            end = self.rawdata.find(">", i + 3)
+            return -1 if end < 0 else end + 1
+
 
 def collapse_whitespace(text: str) -> str:
     """Replace each whitespace run with one space and strip both ends."""
@@ -237,7 +248,7 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
         scan.close()
     except (_TweetTextFound, AssertionError):
         # AssertionError is html.parser's own error for markup it cannot
-        # parse, such as "<![foo bar]>" (Python 3.10 to 3.13.0 at least).
+        # parse; _PageScan.parse_marked_section skips the one case known.
         pass
 
     text = collapse_whitespace("".join(scan.tweet_text_parts))

@@ -29,19 +29,22 @@ class TimeBeforeEpochError(ValueError):
     """Timestamp precedes the Snowflake epoch; no ID range exists for it."""
 
 
+def is_snowflake_id(tweet_id: int) -> bool:
+    """True when ``tweet_id`` can be a Snowflake ID: a positive 64-bit
+    signed integer whose timestamp bits are not all zero."""
+    return 1 << TIMESTAMP_SHIFT <= tweet_id < 1 << 63
+
+
 def id_to_time(tweet_id: int) -> datetime:
     """Decode a tweet ID to its UTC creation time (millisecond precision).
 
-    Raises PreSnowflakeIdError for non-positive IDs and for IDs whose
-    timestamp bits are all zero (anything below 2**22): those never name
-    a Snowflake-era tweet.
+    Raises PreSnowflakeIdError for an ID that is_snowflake_id rejects:
+    one below 2**22 never names a Snowflake-era tweet, and one of 2**63
+    or more does not fit the scheme's 64 bits.
     """
-    if tweet_id <= 0:
-        raise PreSnowflakeIdError(f"not a valid tweet ID: {tweet_id}")
-    offset_ms = tweet_id >> TIMESTAMP_SHIFT
-    if offset_ms == 0:
-        raise PreSnowflakeIdError(f"pre-Snowflake tweet ID: {tweet_id}")
-    return SNOWFLAKE_EPOCH + timedelta(milliseconds=offset_ms)
+    if not is_snowflake_id(tweet_id):
+        raise PreSnowflakeIdError(f"not a Snowflake tweet ID: {tweet_id}")
+    return SNOWFLAKE_EPOCH + timedelta(milliseconds=tweet_id >> TIMESTAMP_SHIFT)
 
 
 def time_to_id_bounds(t: datetime) -> tuple[int, int]:

@@ -28,6 +28,10 @@ MANIFEST_NAME = "manifest.json"
 RETRYABLE_STATUSES = (502, 503, 504)
 REQUEST_TIMEOUT_S = 30.0
 MAX_RETRIES = 3
+# Least time between two requests to one host, and the first retry's wait,
+# which doubles with each further retry.
+MIN_INTERVAL_S = 1.0
+BACKOFF_BASE_S = 0.5
 
 
 class TransportError(RuntimeError):
@@ -122,9 +126,7 @@ class LiveTransport(HttpTransport):
     load the HTTP stack.
     """
 
-    def __init__(self, min_interval: float = 1.0, backoff_base: float = 0.5):
-        self.min_interval = min_interval
-        self.backoff_base = backoff_base
+    def __init__(self) -> None:
         import requests
 
         self._session = requests.Session()
@@ -138,10 +140,10 @@ class LiveTransport(HttpTransport):
             with self._lock:
                 now = time.monotonic()
                 last = self._last_request.get(host)
-                if last is None or now - last >= self.min_interval:
+                if last is None or now - last >= MIN_INTERVAL_S:
                     self._last_request[host] = now
                     return
-                wait = self.min_interval - (now - last)
+                wait = MIN_INTERVAL_S - (now - last)
             time.sleep(wait)
 
     def _send(self, method: str, url: str, **kwargs) -> HttpResponse:
@@ -150,7 +152,7 @@ class LiveTransport(HttpTransport):
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
             self._wait_politely(url)
             try:
                 resp = self._session.request(

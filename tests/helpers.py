@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from html.parser import HTMLParser
 from itertools import combinations
 from pathlib import Path
 
@@ -135,17 +134,6 @@ def jsonld_tweet_html(text: str) -> str:
 # A malformed marked section: html.parser raises AssertionError on it in
 # Python 3.10 to 3.13.0 at least; later versions read it as a bogus comment.
 MALFORMED_SECTION_PAGE = "<html><body><![foo bar]><p class='tweet-text'>x</p></body></html>"
-
-
-def stdlib_parser_gives_up(html: str) -> bool:
-    """True when this Python's html.parser raises on ``html``."""
-    parser = HTMLParser()
-    try:
-        parser.feed(html)
-        parser.close()
-    except AssertionError:
-        return True
-    return False
 
 
 def find_string_field_recursive(node: object, key: str) -> str | None:

@@ -65,9 +65,7 @@ def query_for(doc_lines: tuple[str, ...]) -> tuple[str, object]:
     fields = extract_fields(OcrDocument("gen", doc_lines))
     assert fields.handle is not None and fields.timestamp is not None, doc_lines
     window = build_window(fields.timestamp)
-    low, _ = time_to_id_bounds(window.from_ts)
-    _, high = time_to_id_bounds(window.to_ts)
-    id_filter = common_prefix_filter(low, high)
+    id_filter = common_prefix_filter(window.low_id, window.high_id)
     return build_cdx_query(fields.handle, window, id_filter), window
 
 

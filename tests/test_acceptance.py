@@ -65,10 +65,9 @@ def test_criterion_1_window_math_exact():
 def test_criterion_2_cdx_query_exact():
     with criterion(2, "narrowed query contains /status/152[2-3]&from=20220506212100&matchType=prefix"):
         window = build_window(PAM_TS)
-        low, _ = time_to_id_bounds(window.from_ts)
-        _, high = time_to_id_bounds(window.to_ts)
         query = build_cdx_query(
-            ExtractedHandle("PamKeithFL", True, 1), window, common_prefix_filter(low, high)
+            ExtractedHandle("PamKeithFL", True, 1), window,
+            common_prefix_filter(window.low_id, window.high_id),
         )
         assert "/status/152[2-3]&from=20220506212100&matchType=prefix" in query
 

@@ -21,7 +21,12 @@ from tweetback.cdx import (
 )
 from tweetback.cdx import _parse_timestamp14
 from tweetback.extraction import ExtractedHandle, ScreenshotTimestamp
-from tweetback.snowflake import common_prefix_filter, id_to_time, time_to_id_bounds
+from tweetback.snowflake import (
+    TimeBeforeEpochError,
+    common_prefix_filter,
+    id_to_time,
+    is_snowflake_id,
+)
 from tweetback.transport import HttpStatusError, NetworkError
 
 UTC = timezone.utc
@@ -36,9 +41,7 @@ def pam_window() -> ArchiveWindow:
 
 def pam_filter():
     window = pam_window()
-    low, _ = time_to_id_bounds(window.from_ts)
-    _, high = time_to_id_bounds(window.to_ts)
-    return common_prefix_filter(low, high)
+    return common_prefix_filter(window.low_id, window.high_id)
 
 
 class TestBuildWindow:
@@ -70,6 +73,36 @@ class TestBuildWindow:
         assert len(rendered) == 14 and rendered.isdigit()
         assert rendered == window.from_ts.strftime("%Y%m%d%H%M%S")
         assert window.from_ts < window.to_ts
+
+    @given(
+        st.one_of(
+            # Windows around the Snowflake epoch (2010-11-04T01:42:54.657Z):
+            # before it, straddling it, and just after it.
+            st.datetimes(min_value=datetime(2010, 11, 1), max_value=datetime(2010, 11, 7)),
+            # ScreenshotTimestamp refuses a year after the current one.
+            st.datetimes(min_value=datetime(2010, 11, 1),
+                         max_value=datetime(datetime.now(UTC).year, 12, 31, 23, 59)),
+        ),
+        st.booleans(),
+        st.integers(min_value=1 << 22, max_value=(1 << 63) - 1),
+    )
+    def test_id_range_is_the_window(self, moment, has_time, anywhere):
+        ts = ScreenshotTimestamp(
+            moment.year, moment.month, moment.day,
+            moment.hour if has_time else 0, moment.minute if has_time else 0,
+            has_time,
+        )
+        try:
+            window = build_window(ts)
+        except TimeBeforeEpochError:
+            return
+        edges = [edge + step for edge in (window.low_id, window.high_id)
+                 for step in (-(1 << 22), -1, 0, 1, 1 << 22)]
+        for tweet_id in [*edges, anywhere]:
+            if not is_snowflake_id(tweet_id):
+                continue
+            in_range = window.low_id <= tweet_id <= window.high_id
+            assert in_range == (window.from_ts <= id_to_time(tweet_id) <= window.to_ts)
 
 
 class TestBuildQuery:
@@ -337,6 +370,15 @@ class TestFilterByWindow:
         candidates, warnings = filter_by_window(records, pam_window())
         assert candidates == []
         assert len(warnings) == 1
+
+    @pytest.mark.parametrize("tweet_id", [1 << 63, 10**33])
+    def test_id_past_64_bits_warns(self, tweet_id):
+        line = cdx_line("PamKeithFL", tweet_id, "20220508000000")
+        records, _ = parse_cdx_response(line)
+        candidates, warnings = filter_by_window(records, pam_window())
+        assert candidates == []
+        url = f"https://twitter.com/PamKeithFL/status/{tweet_id}"
+        assert warnings == [f"not a Snowflake tweet ID in {url}"]
 
     def test_survivors_subset_of_dedup_and_inside_window(self):
         ids = [1523140142177058816, 1523141006509502470, 1523633882526646272]

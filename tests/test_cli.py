@@ -4,6 +4,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from helpers import StubTransport
 from tweetback.cli import (
     EXIT_ARCHIVED,
@@ -160,6 +162,13 @@ class TestDecodeId:
 
     def test_pre_snowflake_id_is_error(self, capsys):
         assert main(["decode-id", "20"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("tweet_id", [
+        "99999999999999999999", "999999999999999999999999999999999",
+    ])
+    def test_id_past_64_bits_is_error(self, capsys, tweet_id):
+        assert main(["decode-id", tweet_id]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: not a Snowflake tweet ID: {tweet_id}\n"
 
     def test_non_numeric_id_is_usage_error(self, capsys):
         assert main(["decode-id", "not-a-number"]) == EXIT_USAGE

@@ -15,7 +15,6 @@ from helpers import (
     legacy_tweet_html,
     raw_replay_url,
     replay_url,
-    stdlib_parser_gives_up,
 )
 import tweetback.pipeline
 from tweetback.cdx import build_cdx_query, build_window, dedup_candidates, filter_by_window, parse_cdx_response
@@ -29,7 +28,7 @@ from tweetback.pipeline import (
     VerdictReport,
     run_pipeline,
 )
-from tweetback.snowflake import SNOWFLAKE_EPOCH, common_prefix_filter, time_to_id_bounds
+from tweetback.snowflake import TimeBeforeEpochError, common_prefix_filter, time_to_id_bounds
 from tweetback.transport import FixtureTransport, HttpResponse, RecordingTransport
 
 PAM_EVIDENCE_URL = (
@@ -97,12 +96,10 @@ class TestNarrowingSoundness:
         ts = ScreenshotTimestamp(2022, 5, 7, 23, 21, True, 4)
         handle = ExtractedHandle("PamKeithFL", True, 1)
         window = build_window(ts)
-        low, _ = time_to_id_bounds(window.from_ts)
-        _, high = time_to_id_bounds(window.to_ts)
         transport = FixtureTransport(pam_fixtures_dir)
 
         survivors = {}
-        for id_filter in (common_prefix_filter(low, high), None):
+        for id_filter in (common_prefix_filter(window.low_id, window.high_id), None):
             query = build_cdx_query(handle, window, id_filter)
             records, _ = parse_cdx_response(transport.get(query).body)
             deduped = dedup_candidates(records)
@@ -178,7 +175,9 @@ class TestPreSnowflakeDates:
         ts = report.fields.timestamp
         assert (ts.as_datetime().date(), ts.has_time_of_day) == (day, time_of_day is not None)
         assert report.verdict.kind is VerdictKind.NOT_FOUND
-        if build_window(ts).to_ts < SNOWFLAKE_EPOCH:
+        try:
+            build_window(ts)
+        except TimeBeforeEpochError:
             assert transport.get_log == []
         else:
             assert transport.get_log == [report.cdx_query]
@@ -192,10 +191,9 @@ class TestVerdictsEndToEnd:
 
     def _transport_with(self, rows: list[str], replays: dict[str, tuple[int, str]]):
         window = build_window(ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3))
-        low, _ = time_to_id_bounds(window.from_ts)
-        _, high = time_to_id_bounds(window.to_ts)
         query = build_cdx_query(
-            ExtractedHandle("some_person", True, 1), window, common_prefix_filter(low, high)
+            ExtractedHandle("some_person", True, 1), window,
+            common_prefix_filter(window.low_id, window.high_id),
         )
         transport = StubTransport().add(query, body="\n".join(rows))
         for url, (status, body) in replays.items():
@@ -248,11 +246,17 @@ class TestVerdictsEndToEnd:
         url = raw_replay_url("some_person", tweet_id, "20220526000000")
         transport = self._transport_with([row], {url: (200, MALFORMED_SECTION_PAGE)})
         report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
-        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
-            assert report.verdict.kind is VerdictKind.NON_REPLAYABLE
-            assert [f.reason.value for f in report.verdict.failures] == ["no_tweet_text_found"]
-        else:
-            assert (report.verdict.kind, report.replayed_ok) == (VerdictKind.NOT_FOUND, 1)
+        assert (report.verdict.kind, report.replayed_ok) == (VerdictKind.NOT_FOUND, 1)
+
+    def test_id_past_64_bits_is_a_warning(self):
+        row = cdx_line("some_person", 10**33, "20220526000000")
+        transport = self._transport_with([row], {})
+        report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
+        assert (report.verdict.kind, report.in_window) == (VerdictKind.NOT_FOUND, 0)
+        assert report.warnings == [
+            f"not a Snowflake tweet ID in https://twitter.com/some_person/status/{10**33}"
+        ]
+        assert transport.get_log == [report.cdx_query]
 
     def test_fetches_raw_replays_and_reports_plain_urls(self):
         base = time_to_id_bounds(

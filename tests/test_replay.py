@@ -14,7 +14,6 @@ from helpers import (
     jsonld_tweet_html,
     legacy_tweet_html,
     meta_tweet_html,
-    stdlib_parser_gives_up,
 )
 from tweetback.cdx import CandidateRef
 from tweetback.replay import (
@@ -247,13 +246,9 @@ class TestEarlyExit:
 
 class TestParserGivesUp:
     def test_malformed_marked_section_is_not_a_crash(self):
-        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
-            with pytest.raises(NoTweetTextFound):
-                extract_archived_text(MALFORMED_SECTION_PAGE)
-        else:
-            assert extract_archived_text(MALFORMED_SECTION_PAGE) == (
-                "x", ExtractionMethod.TWEET_TEXT_ELEMENT
-            )
+        assert extract_archived_text(MALFORMED_SECTION_PAGE) == (
+            "x", ExtractionMethod.TWEET_TEXT_ELEMENT
+        )
 
     def test_text_read_before_the_parser_gave_up_counts(self):
         html = (
@@ -408,10 +403,7 @@ class TestResolveCandidate:
     def test_malformed_marked_section_page(self):
         transport = StubTransport().add(REF.raw_replay_url, body=MALFORMED_SECTION_PAGE)
         outcome = resolve_candidate(REF, transport)
-        if stdlib_parser_gives_up(MALFORMED_SECTION_PAGE):
-            assert outcome == ReplayFailure(ref=REF, reason=FailureReason.NO_TWEET_TEXT)
-        else:
-            assert outcome.extracted_text == "x"
+        assert outcome.extracted_text == "x"
 
     def test_fetch_failure_passes_through(self):
         transport = StubTransport().add(REF.raw_replay_url, status=404)

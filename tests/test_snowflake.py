@@ -48,10 +48,15 @@ def test_id_to_time_epoch_constant():
     )
 
 
-@pytest.mark.parametrize("bad_id", [0, -5, 1, (1 << 22) - 1])
+@pytest.mark.parametrize("bad_id", [0, -5, 1, (1 << 22) - 1, 1 << 63, 10**33])
 def test_id_to_time_rejects_pre_snowflake(bad_id):
     with pytest.raises(PreSnowflakeIdError):
         id_to_time(bad_id)
+
+
+@pytest.mark.parametrize("tweet_id,offset_ms", [(1 << 22, 1), ((1 << 63) - 1, (1 << 41) - 1)])
+def test_id_to_time_decodes_the_smallest_and_largest_ids(tweet_id, offset_ms):
+    assert id_to_time(tweet_id) == _ms_to_dt(SNOWFLAKE_EPOCH_MS + offset_ms)
 
 
 def test_time_to_id_bounds_span():

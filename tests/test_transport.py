@@ -168,7 +168,8 @@ print(before, "requests" in sys.modules)
 
 class TestLiveTransportPoliteness:
     def test_spaces_requests_per_host(self, monkeypatch):
-        transport = LiveTransport(min_interval=0.05)
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 0.05)
+        transport = LiveTransport()
         stamps: list[float] = []
 
         def fake_request(method, url, **kwargs):
@@ -188,7 +189,8 @@ class TestLiveTransportPoliteness:
         assert all(gap >= 0.045 for gap in gaps)
 
     def test_politeness_is_per_host(self, monkeypatch):
-        transport = LiveTransport(min_interval=10.0)
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 10.0)
+        transport = LiveTransport()
 
         def fake_request(method, url, **kwargs):
             class _Resp:
@@ -205,7 +207,9 @@ class TestLiveTransportPoliteness:
         assert time.monotonic() - start < 5.0
 
     def test_retries_transient_statuses(self, monkeypatch):
-        transport = LiveTransport(min_interval=0.0, backoff_base=0.0)
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 0.0)
+        monkeypatch.setattr(tweetback.transport, "BACKOFF_BASE_S", 0.0)
+        transport = LiveTransport()
         calls = {"n": 0}
 
         def fake_request(method, url, **kwargs):
@@ -224,7 +228,8 @@ class TestLiveTransportPoliteness:
         assert calls["n"] == 3
 
     def test_thread_safety_smoke(self, monkeypatch):
-        transport = LiveTransport(min_interval=0.001)
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 0.001)
+        transport = LiveTransport()
 
         def fake_request(method, url, **kwargs):
             class _Resp:
@@ -257,7 +262,9 @@ class TestLiveTransportRateLimit:
 
     @classmethod
     def _rate_limited(cls, monkeypatch, headers: dict[str, str]) -> RateLimitedError:
-        transport = LiveTransport(min_interval=0.0, backoff_base=0.0)
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 0.0)
+        monkeypatch.setattr(tweetback.transport, "BACKOFF_BASE_S", 0.0)
+        transport = LiveTransport()
         response = SimpleNamespace(status_code=429, text="slow down", headers=headers)
         monkeypatch.setattr(transport._session, "request", lambda method, url, **kw: response)
         with pytest.raises(RateLimitedError) as excinfo:
