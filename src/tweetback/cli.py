@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluation import run_evaluation
 from .extraction import extract_fields
 from .matching import VerdictKind
 from .ocr import OcrServiceConfig, load_text_document, ocr_image
@@ -136,6 +135,9 @@ def _cmd_decode_id(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    # Imported here, so start-up for the other commands does not load it.
+    from .evaluation import run_evaluation
+
     report = run_evaluation(args.corpus)
     print(report.to_text_table())
     if args.json:

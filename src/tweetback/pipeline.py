@@ -12,7 +12,6 @@ of guessing.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +24,7 @@ from .transport import FixtureTransport, HttpTransport, LiveTransport, Recording
 
 SCHEMA_VERSION = "1"
 
-# Replays in flight at once when there are two or more (see _resolve_all).
+# Replays in flight at once through a paced transport (see _resolve_all).
 REPLAY_WORKERS = 2
 
 
@@ -173,15 +172,20 @@ def _resolve_all(
 ) -> list[replay.CandidateTweet | replay.ReplayFailure]:
     """Resolve every candidate, in ``refs`` order.
 
-    Two or more replays go through a thread pool: a live replay can take
-    longer than the politeness interval, so a second one in flight
-    overlaps that wait. With fewer, or from a fixture directory, there is
-    nothing to overlap, and the pool's thread start-up, wake-ups and
-    shutdown would be pure cost; on a busy host the wake-ups stall for
-    milliseconds.
+    Two or more replays through a paced transport (``HttpTransport.paced``:
+    the live one, or a recorder over it) go through a thread pool: a live
+    replay can take longer than the politeness interval, so a second one
+    in flight overlaps that wait. Any other transport (fixtures, a
+    recorder over one, an injected in-process archive) answers without
+    waiting, so there is nothing to overlap, and the pool's thread
+    start-up, interpreter-lock hand-offs and shutdown would be pure cost.
+    The pool is imported only here, so an offline run never loads
+    ``concurrent.futures``.
     """
-    if len(refs) < 2 or isinstance(transport, FixtureTransport):
+    if len(refs) < 2 or not transport.paced:
         return [replay.resolve_candidate(ref, transport) for ref in refs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=REPLAY_WORKERS) as pool:
         return list(pool.map(lambda ref: replay.resolve_candidate(ref, transport), refs))
 

@@ -1,8 +1,9 @@
 """HTTP transports: live (polite, retrying), recorded-fixture, and recording.
 
 web.archive.org asks clients to stay gentle, so the live transport
-serializes requests per host with a minimum inter-request delay and
-retries transient failures with exponential backoff. The fixture
+serializes requests per host with a minimum inter-request delay, retries
+transient failures with exponential backoff, and waits out one short
+``Retry-After`` before a 429 is final. The fixture
 transport replays responses from a directory keyed by a stable hash of
 the full request URL, which keeps the whole pipeline runnable offline
 and deterministic; the recording transport populates such a directory
@@ -32,6 +33,11 @@ MAX_RETRIES = 3
 # which doubles with each further retry.
 MIN_INTERVAL_S = 1.0
 BACKOFF_BASE_S = 0.5
+# Longest Retry-After that a 429 is waited out for, once, before it is
+# final. A minute costs about what 60 paced requests do, a third of a
+# busy-handle verify; a server that asks for longer is turning the client
+# away, and the run says so instead of hanging.
+MAX_RETRY_AFTER_S = 60.0
 
 
 class TransportError(RuntimeError):
@@ -97,7 +103,16 @@ class HttpTransport:
 
     ``get`` never follows redirects; callers that need redirect handling
     (replay fetching) implement their own bounded hop loop.
+
+    ``paced`` says whether ``get`` waits between requests, as the live
+    transport's politeness interval does. Only then does the pipeline put
+    two replays in flight at once, so that one's transfer overlaps the
+    other's wait; a transport that answers at once replays inline. It is a
+    fact about the class, not a setting: a custom transport that waits
+    between requests sets it to True.
     """
+
+    paced = False
 
     def get(self, url: str) -> HttpResponse:
         raise NotImplementedError
@@ -126,6 +141,8 @@ class LiveTransport(HttpTransport):
     load the HTTP stack.
     """
 
+    paced = True
+
     def __init__(self) -> None:
         import requests
 
@@ -134,26 +151,51 @@ class LiveTransport(HttpTransport):
         self._lock = threading.Lock()
         self._last_request: dict[str, float] = {}
 
-    def _wait_politely(self, url: str) -> None:
+    def _wait_politely(self, url: str, delay: float = 0.0) -> None:
+        """Wait for the next request slot of ``url``'s host and claim it.
+
+        Slots are MIN_INTERVAL_S apart. A caller that must also wait
+        ``delay`` seconds (a server's Retry-After) claims its slot that far
+        ahead before it sleeps, so no other thread sends to the host until
+        then: one already waiting finds the later claim when it wakes.
+        """
         host = urlparse(url).netloc
         while True:
             with self._lock:
                 now = time.monotonic()
                 last = self._last_request.get(host)
-                if last is None or now - last >= MIN_INTERVAL_S:
-                    self._last_request[host] = now
-                    return
-                wait = MIN_INTERVAL_S - (now - last)
+                wait = max(delay, 0.0 if last is None else last + MIN_INTERVAL_S - now)
+                if wait <= 0 or delay:
+                    self._last_request[host] = now + wait
+                    break
+            time.sleep(wait)
+        if wait > 0:
             time.sleep(wait)
 
     def _send(self, method: str, url: str, **kwargs) -> HttpResponse:
+        """Send one request; a 429 with a Retry-After of at most
+        MAX_RETRY_AFTER_S is waited out once, and any other 429 raises."""
+        response = self._send_with_retries(method, url, **kwargs)
+        if response.status == 429:
+            retry_after = _parse_retry_after(response.header("Retry-After"))
+            if retry_after is None or retry_after > MAX_RETRY_AFTER_S:
+                raise RateLimitedError(url, retry_after)
+            response = self._send_with_retries(method, url, delay=retry_after, **kwargs)
+            if response.status == 429:
+                raise RateLimitedError(url, _parse_retry_after(response.header("Retry-After")))
+        return response
+
+    def _send_with_retries(
+        self, method: str, url: str, *, delay: float = 0.0, **kwargs
+    ) -> HttpResponse:
         import requests
 
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
-            self._wait_politely(url)
+            self._wait_politely(url, delay)
+            delay = 0.0
             try:
                 resp = self._session.request(
                     method, url, timeout=REQUEST_TIMEOUT_S, allow_redirects=False, **kwargs
@@ -166,12 +208,9 @@ class LiveTransport(HttpTransport):
                 continue
             if resp.status_code in RETRYABLE_STATUSES and attempt < MAX_RETRIES:
                 continue
-            response = HttpResponse(
+            return HttpResponse(
                 status=resp.status_code, body=resp.text, headers=dict(resp.headers)
             )
-            if response.status == 429:
-                raise RateLimitedError(url, _parse_retry_after(response.header("Retry-After")))
-            return response
         assert last_error is not None
         raise last_error
 
@@ -246,6 +285,11 @@ class RecordingTransport(HttpTransport):
         self.inner = inner
         self._lock = threading.Lock()
         self._manifest = _load_manifest(self.directory)
+
+    @property
+    def paced(self) -> bool:
+        """Paced exactly when the transport it records is."""
+        return self.inner.paced
 
     def get(self, url: str) -> HttpResponse:
         response = self.inner.get(url)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
+import tweetback
 from tweetback.cdx import build_replay_url
 from tweetback.matching import normalize
 from tweetback.transport import (
@@ -62,6 +66,24 @@ class StubTransport(HttpTransport):
         if isinstance(entry, Exception):
             raise entry
         return entry
+
+
+class PacedStubTransport(StubTransport):
+    """A StubTransport that declares itself paced, as a live one is, so the
+    pipeline replays two or more candidates through its thread pool."""
+
+    paced = True
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(tweetback.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.strip()
 
 
 def fake_digest(seed: str) -> str:

@@ -1,22 +1,29 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import time
 from datetime import date, datetime, timezone
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     MALFORMED_SECTION_PAGE,
+    PacedStubTransport,
     StubTransport,
     cdx_line,
     deep_json_ld_html,
+    fresh_interpreter,
+    jsonld_tweet_html,
     legacy_tweet_html,
+    meta_tweet_html,
     raw_replay_url,
     replay_url,
 )
-import tweetback.pipeline
+import tweetback.transport
 from tweetback.cdx import build_cdx_query, build_window, dedup_candidates, filter_by_window, parse_cdx_response
 from tweetback.extraction import ExtractedHandle, ScreenshotTimestamp
 from tweetback.matching import VerdictKind
@@ -29,7 +36,13 @@ from tweetback.pipeline import (
     run_pipeline,
 )
 from tweetback.snowflake import TimeBeforeEpochError, common_prefix_filter, time_to_id_bounds
-from tweetback.transport import FixtureTransport, HttpResponse, RecordingTransport
+from tweetback.transport import (
+    FixtureTransport,
+    HttpResponse,
+    LiveTransport,
+    NetworkError,
+    RecordingTransport,
+)
 
 PAM_EVIDENCE_URL = (
     "https://web.archive.org/web/20220509011257/"
@@ -189,13 +202,14 @@ class TestVerdictsEndToEnd:
         ("Some Person", "@some_person", "hello archive world", "4:08 PM 2022-05-25"),
     )
 
-    def _transport_with(self, rows: list[str], replays: dict[str, tuple[int, str]]):
+    def _transport_with(self, rows: list[str], replays: dict[str, tuple[int, str]],
+                        transport_cls: type[StubTransport] = StubTransport):
         window = build_window(ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3))
         query = build_cdx_query(
             ExtractedHandle("some_person", True, 1), window,
             common_prefix_filter(window.low_id, window.high_id),
         )
-        transport = StubTransport().add(query, body="\n".join(rows))
+        transport = transport_cls().add(query, body="\n".join(rows))
         for url, (status, body) in replays.items():
             transport.add(url, body=body, status=status)
         return transport
@@ -280,33 +294,176 @@ class TestVerdictsEndToEnd:
             {"replay_url": replay_url("some_person", gone, stamp), "reason": "http_error"}
         ]
 
-    def _run_with_candidates(self, count: int) -> VerdictReport:
+    @staticmethod
+    def _ids(count: int) -> list[int]:
         base = time_to_id_bounds(
             ScreenshotTimestamp(2022, 5, 25, 16, 8, True, 3).as_datetime())[0]
-        ids = [base | (7 + i) for i in range(count)]
-        transport = self._transport_with(
+        return [base | (7 + i) for i in range(count)]
+
+    def _candidates_transport(self, count: int,
+                              transport_cls: type[StubTransport] = StubTransport):
+        ids = self._ids(count)
+        return self._transport_with(
             [cdx_line("some_person", i, "20220526000000") for i in ids],
             {raw_replay_url("some_person", i, "20220526000000"):
                 (200, legacy_tweet_html("hello archive world")) for i in ids},
+            transport_cls,
         )
+
+    def _run_with_candidates(self, count: int,
+                             transport_cls: type[StubTransport] = StubTransport) -> VerdictReport:
+        transport = self._candidates_transport(count, transport_cls)
         return run_pipeline(self.DOC, PipelineConfig(), transport=transport)
 
     def test_fewer_than_two_candidates_replay_inline(self, monkeypatch):
-        monkeypatch.setattr(tweetback.pipeline, "ThreadPoolExecutor", _refuse_pool)
-        report = self._run_with_candidates(0)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _refuse_pool)
+        report = self._run_with_candidates(0, PacedStubTransport)
         assert (report.in_window, report.verdict.kind) == (0, VerdictKind.NOT_FOUND)
-        report = self._run_with_candidates(1)
+        report = self._run_with_candidates(1, PacedStubTransport)
         assert (report.in_window, report.verdict.kind) == (1, VerdictKind.ARCHIVED)
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_unpaced_transport_replays_inline(self, monkeypatch, count):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _refuse_pool)
+        transport = self._candidates_transport(count)
+        report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
+        assert (report.in_window, report.replayed_ok) == (count, count)
+        assert transport.get_log[1:] == [
+            raw_replay_url("some_person", i, "20220526000000") for i in self._ids(count)
+        ]
+
     def test_two_candidates_replay_in_the_pool(self, monkeypatch):
-        monkeypatch.setattr(tweetback.pipeline, "ThreadPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _refuse_pool)
         with pytest.raises(_PoolUsed):
-            self._run_with_candidates(2)
+            self._run_with_candidates(2, PacedStubTransport)
 
     def test_fixture_replays_run_inline(self, monkeypatch, pam_ocr_path, pam_fixtures_dir):
-        monkeypatch.setattr(tweetback.pipeline, "ThreadPoolExecutor", _refuse_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _refuse_pool)
         report = run_pipeline(load_text_document(pam_ocr_path), fixture_config(pam_fixtures_dir))
         assert (report.in_window, report.verdict.kind) == (5, VerdictKind.ARCHIVED)
+
+    def test_live_replays_overlap_behind_pacing(self, monkeypatch):
+        pytest.importorskip("requests")
+        min_interval = 0.1
+        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", min_interval)
+        pools: list[dict] = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
+        web = self._candidates_transport(3)
+        live = LiveTransport()
+        starts: list[float] = []
+
+        def fake_request(method, url, **kwargs):
+            starts.append(time.monotonic())
+            response = web.get(url)
+            return SimpleNamespace(
+                status_code=response.status, text=response.body, headers=response.headers)
+
+        monkeypatch.setattr(live._session, "request", fake_request)
+        report = run_pipeline(self.DOC, PipelineConfig(), transport=live)
+        assert (report.in_window, report.replayed_ok) == (3, 3)
+        assert pools == [{"max_workers": 2}]
+        starts.sort()
+        # A late wake-up can only delay a start past its slot, so allow a
+        # little jitter below the interval and none above it.
+        assert len(starts) == 4
+        assert all(b - a >= 0.9 * min_interval for a, b in zip(starts, starts[1:]))
+
+    def test_start_up_and_offline_runs_load_no_pool_or_evaluator(
+        self, pam_ocr_path, pam_fixtures_dir
+    ):
+        web = self._candidates_transport(2)
+        pages = {url: [response.status, response.body] for url, response in web._get.items()}
+        code = """
+import contextlib, io, json, sys
+import tweetback.cli
+from tweetback.ocr import OcrDocument
+from tweetback.pipeline import PipelineConfig, run_pipeline
+from tweetback.transport import HttpResponse, HttpTransport
+
+class Stub(HttpTransport):
+    def __init__(self, pages):
+        self.pages = pages
+
+    def get(self, url):
+        status, body = self.pages[url]
+        return HttpResponse(status=status, body=body)
+
+def loaded():
+    return [m for m in ("concurrent.futures", "tweetback.evaluation") if m in sys.modules]
+
+seen = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tweetback.cli.main(["verify", "--ocr-text", sys.argv[1], "--fixtures", sys.argv[2]])
+seen["verify"] = [code, loaded()]
+doc = OcrDocument(sys.argv[3], tuple(json.loads(sys.argv[4])))
+report = run_pipeline(doc, PipelineConfig(), transport=Stub(json.loads(sys.argv[5])))
+seen["run_pipeline"] = [report.replayed_ok, loaded()]
+print(json.dumps(seen))
+"""
+        seen = json.loads(fresh_interpreter(
+            code, str(pam_ocr_path), str(pam_fixtures_dir), self.DOC.source_id,
+            json.dumps(list(self.DOC.lines)), json.dumps(pages)))
+        assert seen == {"import": [], "verify": [0, []], "run_pipeline": [2, []]}
+
+    _REPLAYS = st.lists(
+        st.tuples(
+            st.sampled_from(["legacy", "meta", "json_ld", "no_text", "text", "404",
+                             "redirects", "network_error"]),
+            st.one_of(st.just("hello archive world"), st.text(max_size=80)),
+            st.integers(min_value=1, max_value=7),
+        ),
+        max_size=6,
+    )
+
+    @given(replays=_REPLAYS)
+    @settings(max_examples=60, deadline=None)
+    def test_paced_and_unpaced_transports_give_one_report(self, replays):
+        """Any mix of replay outcomes gives the same report whether the
+        replays run inline or through the pool."""
+        ids = self._ids(len(replays))
+        reports = []
+        for transport_cls in (StubTransport, PacedStubTransport):
+            transport = self._transport_with(
+                [cdx_line("some_person", i, "20220526000000") for i in ids], {}, transport_cls)
+            for row, (tweet_id, (kind, text, hops)) in enumerate(zip(ids, replays)):
+                url = raw_replay_url("some_person", tweet_id, "20220526000000")
+                _serve_replay(transport, url, row, kind, text, hops)
+            report = run_pipeline(self.DOC, PipelineConfig(), transport=transport)
+            assert report.in_window == len(replays)
+            payload = report.to_dict()
+            del payload["generated_at"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
+
+
+def _serve_replay(transport: StubTransport, url: str, row: int, kind: str, text: str,
+                  hops: int) -> None:
+    """Register one candidate's replay of the given kind under ``url``."""
+    pages = {"legacy": legacy_tweet_html, "meta": meta_tweet_html, "json_ld": jsonld_tweet_html}
+    if kind in pages:
+        transport.add(url, body=pages[kind](text))
+    elif kind == "no_text":
+        transport.add(url, body="<html><body><p>nothing to see</p></body></html>")
+    elif kind == "text":
+        transport.add(url, body=text)
+    elif kind == "404":
+        transport.add(url, body="gone", status=404)
+    elif kind == "network_error":
+        transport.add_error(url, NetworkError(f"connection reset on row {row}"))
+    else:
+        # a chain of ``hops`` redirects within the archive; past
+        # MAX_REDIRECT_HOPS it is a redirect loop
+        for hop in range(hops):
+            target = f"/web/{row}-{hop + 1}/https://twitter.com/some_person"
+            transport.add(url, status=302, headers={"Location": target})
+            url = f"https://web.archive.org{target}"
+        transport.add(url, body=legacy_tweet_html(text))
 
 
 class _PoolUsed(Exception):

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -13,12 +10,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import StubTransport
+from helpers import PacedStubTransport, StubTransport, fresh_interpreter
 import tweetback
 from tweetback.transport import (
     FixtureMissingError,
     FixtureTransport,
     HttpResponse,
+    HttpTransport,
     LiveTransport,
     RateLimitedError,
     RecordingTransport,
@@ -123,17 +121,6 @@ class TestRecordingTransport:
         assert len(manifest) == 2
 
 
-def _fresh_interpreter(code: str, *args: str) -> str:
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
-    src = str(Path(tweetback.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    return done.stdout.strip()
-
-
 class TestHttpStackLoadedOnlyWhenLive:
     def test_offline_runs_never_import_requests(self, pam_ocr_path, pam_fixtures_dir,
                                                 eval_corpus_dir):
@@ -150,7 +137,7 @@ seen["verify"] = [report.verdict.kind.value, "requests" in sys.modules]
 seen["evaluate"] = [run_evaluation(sys.argv[3]).record_count, "requests" in sys.modules]
 print(json.dumps(seen))
 """
-        seen = json.loads(_fresh_interpreter(
+        seen = json.loads(fresh_interpreter(
             code, str(pam_ocr_path), str(pam_fixtures_dir), str(eval_corpus_dir)))
         assert seen == {"import": False, "verify": ["archived", False], "evaluate": [12, False]}
 
@@ -163,7 +150,7 @@ before = "requests" in sys.modules
 LiveTransport()
 print(before, "requests" in sys.modules)
 """
-        assert _fresh_interpreter(code) == "False True"
+        assert fresh_interpreter(code) == "False True"
 
 
 class TestLiveTransportPoliteness:
@@ -257,16 +244,50 @@ class TestLiveTransportPoliteness:
         assert errors == []
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module in tweetback.transport: ``sleep``
+    records the wait and moves ``monotonic`` on by it, at once."""
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 class TestLiveTransportRateLimit:
     URL = "http://web.archive.org/cdx/search/cdx?url=x&from=1&matchType=prefix"
 
+    @staticmethod
+    def _serving(monkeypatch, *responses: SimpleNamespace
+                 ) -> tuple[LiveTransport, _FakeClock, list[float]]:
+        """A LiveTransport on a fake clock whose requests get ``responses`` in
+        turn, the last one from then on, and the list of request start times."""
+        clock = _FakeClock()
+        monkeypatch.setattr(tweetback.transport, "time", clock)
+        transport = LiveTransport()
+        starts: list[float] = []
+        queue = list(responses)
+
+        def fake_request(method, url, **kwargs):
+            starts.append(clock.now)
+            return queue.pop(0) if len(queue) > 1 else queue[0]
+
+        monkeypatch.setattr(transport._session, "request", fake_request)
+        return transport, clock, starts
+
+    @staticmethod
+    def _response(status: int, headers: dict[str, str] | None = None) -> SimpleNamespace:
+        return SimpleNamespace(status_code=status, text=f"status {status}", headers=headers or {})
+
     @classmethod
     def _rate_limited(cls, monkeypatch, headers: dict[str, str]) -> RateLimitedError:
-        monkeypatch.setattr(tweetback.transport, "MIN_INTERVAL_S", 0.0)
-        monkeypatch.setattr(tweetback.transport, "BACKOFF_BASE_S", 0.0)
-        transport = LiveTransport()
-        response = SimpleNamespace(status_code=429, text="slow down", headers=headers)
-        monkeypatch.setattr(transport._session, "request", lambda method, url, **kw: response)
+        transport, _, _ = cls._serving(monkeypatch, cls._response(429, headers))
         with pytest.raises(RateLimitedError) as excinfo:
             transport.get(cls.URL)
         assert excinfo.value.url == cls.URL
@@ -281,6 +302,56 @@ class TestLiveTransportRateLimit:
     def test_rate_limited_with_http_date(self, monkeypatch):
         headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
         assert self._rate_limited(monkeypatch, headers).retry_after == 0
+
+    def test_retry_after_is_waited_out_once(self, monkeypatch):
+        transport, clock, starts = self._serving(
+            monkeypatch, self._response(429, {"Retry-After": "30"}), self._response(200))
+        assert transport.get(self.URL).status == 200
+        assert clock.sleeps == [30.0]
+        assert starts == [1000.0, 1030.0]
+
+    def test_second_429_raises(self, monkeypatch):
+        transport, clock, starts = self._serving(
+            monkeypatch, self._response(429, {"Retry-After": "30"}),
+            self._response(429, {"Retry-After": "5"}))
+        with pytest.raises(RateLimitedError) as excinfo:
+            transport.get(self.URL)
+        assert excinfo.value.retry_after == 5.0
+        assert clock.sleeps == [30.0]
+        assert len(starts) == 2
+
+    @pytest.mark.parametrize("headers", [
+        {"Retry-After": str(int(tweetback.transport.MAX_RETRY_AFTER_S) + 1)},
+        {},
+        {"Retry-After": "soon"},
+    ])
+    def test_long_or_missing_retry_after_raises_at_once(self, monkeypatch, headers):
+        transport, clock, starts = self._serving(
+            monkeypatch, self._response(429, headers), self._response(200))
+        with pytest.raises(RateLimitedError):
+            transport.get(self.URL)
+        assert clock.sleeps == []
+        assert starts == [1000.0]
+
+    def test_wait_holds_the_host_slot(self, monkeypatch):
+        transport, clock, starts = self._serving(
+            monkeypatch, self._response(429, {"Retry-After": "30"}), self._response(200))
+        transport.get(self.URL)
+        transport.get("http://web.archive.org/web/2022id_/https://twitter.com/a/status/1")
+        transport.get("http://other-host.test/")
+        min_interval = tweetback.transport.MIN_INTERVAL_S
+        assert clock.sleeps == [30.0, min_interval]
+        assert starts == [1000.0, 1030.0, 1030.0 + min_interval, 1030.0 + min_interval]
+
+
+class TestPaced:
+    def test_only_the_live_transport_is_paced(self):
+        assert LiveTransport.paced is True
+        assert (HttpTransport.paced, FixtureTransport.paced, StubTransport.paced) == (False,) * 3
+
+    def test_recorder_is_paced_when_what_it_records_is(self, tmp_path):
+        assert RecordingTransport(tmp_path, inner=StubTransport()).paced is False
+        assert RecordingTransport(tmp_path, inner=PacedStubTransport()).paced is True
 
 
 class TestParseRetryAfter:
