@@ -3,11 +3,11 @@
 The screenshot timestamp is a wall clock in an unknown timezone, so the
 tweet's true UTC creation time lies within WINDOW_SLACK either side of
 it. build_window also derives, once, the range of Snowflake tweet IDs
-minted inside that window. The CDX query uses the window's left edge as
-``from=`` (captures can only happen after posting) and an ID-prefix regex
-derived from the ID range to cut the result set down; rows are then kept
-by comparing their tweet ID with the range, since the prefix admits more
-IDs and a capture may be taken long after the tweet was posted. The
+minted inside that window and the decimal ID prefix covering it. The CDX
+query uses the window's left edge as ``from=`` (captures can only happen
+after posting) and that prefix to cut the result set down; rows are then
+kept by comparing their tweet ID with the range, since the prefix admits
+more IDs and a capture may be taken long after the tweet was posted. The
 server collapses the rows to one per urlkey, so it sends only the row
 that dedup keeps.
 
@@ -42,19 +42,17 @@ WINDOW_SLACK = timedelta(hours=26)
 _STATUS_ID_RE = re.compile(r"/status/(\d+)(?:[/?#]|$)", re.ASCII)
 
 
-class IncompleteHandleError(ValueError):
-    """A truncated handle cannot anchor an archive query."""
-
-
 @dataclass(frozen=True)
 class ArchiveWindow:
-    """UTC interval that must contain the tweet's creation time, and the
-    tweet IDs that can have been minted inside it: [low_id, high_id]."""
+    """UTC interval that must contain the tweet's creation time, the tweet
+    IDs that can have been minted inside it, [low_id, high_id], and the
+    decimal prefix covering them (None when their lengths differ)."""
 
     from_ts: datetime
     to_ts: datetime
     low_id: int
     high_id: int
+    id_filter: snowflake.IdPrefixFilter | None
 
     def __post_init__(self) -> None:
         if self.from_ts >= self.to_ts:
@@ -129,19 +127,18 @@ def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
     # rounding: the range holds exactly the IDs minted inside the window.
     low_id, _ = snowflake.time_to_id_bounds(max(from_ts, snowflake.SNOWFLAKE_EPOCH))
     _, high_id = snowflake.time_to_id_bounds(to_ts)
-    return ArchiveWindow(from_ts, to_ts, low_id, high_id)
+    id_filter = snowflake.common_prefix_filter(low_id, high_id)
+    return ArchiveWindow(from_ts, to_ts, low_id, high_id, id_filter)
 
 
-def build_cdx_query(
-    handle: ExtractedHandle,
-    window: ArchiveWindow,
-    id_filter: snowflake.IdPrefixFilter | None = None,
-) -> str:
+def build_cdx_query(handle: ExtractedHandle, window: ArchiveWindow) -> str:
     """Build the prefix-match CDX query URL for a handle's status pages.
 
-    The ID filter, when available, becomes a literal path fragment like
-    ``152[2-3]`` (the CDX server treats it as a regex); the URL is built
-    verbatim, without percent-encoding, to match what the server expects.
+    The window's ID filter, when it has one, becomes a literal path
+    fragment like ``152[2-3]`` (the CDX server treats it as a regex); the
+    URL is built verbatim, without percent-encoding, to match what the
+    server expects. The handle is used as given; run_pipeline never passes
+    a truncated one.
 
     ``collapse=urlkey`` makes the server send only the first row of each
     urlkey. Rows come sorted by urlkey, then timestamp, and ``from=`` drops
@@ -149,11 +146,9 @@ def build_cdx_query(
     one dedup_candidates keeps. The urlkey ignores the scheme and case, so
     ``http://``/``https://`` and handle-case variants of one status merge.
     """
-    if not handle.complete:
-        raise IncompleteHandleError(f"handle @{handle.handle} is truncated")
     path = f"https://twitter.com/{handle.handle}/status"
-    if id_filter is not None:
-        path += f"/{id_filter.render()}"
+    if window.id_filter is not None:
+        path += f"/{window.id_filter.render()}"
     return f"{CDX_ENDPOINT}?url={path}&from={window.from_cdx14}&matchType=prefix&collapse=urlkey"
 
 

@@ -13,14 +13,16 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
 from .extraction import extract_fields
 from .matching import VerdictKind
-from .ocr import OcrServiceConfig, load_text_document, ocr_image
-from .pipeline import ConfigError, PipelineConfig, TransportMode, run_pipeline
-from .snowflake import PreSnowflakeIdError, id_to_time
+from .ocr import (MalformedServiceResponseError, OcrServiceConfig, OcrServiceError,
+                  load_text_document, ocr_image)
+from .pipeline import PipelineConfig, TransportMode, run_pipeline
+from .snowflake import id_to_time
 from .transport import TransportError
 
 EXIT_ARCHIVED = 0
@@ -166,8 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, PreSnowflakeIdError, TransportError, OSError, ValueError) as err:
+    except (TransportError, OcrServiceError, MalformedServiceResponseError,
+            OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:  # unforeseen: the traceback is the message
+        traceback.print_exc()
         return EXIT_ERROR
 
 

@@ -1,17 +1,17 @@
 """End-to-end verification pipeline: OCR lines in, JSON verdict report out.
 
 One run walks the whole chain: extract fields, build the ±26h window
-and its Snowflake ID range, derive the prefix filter, query the CDX index,
-dedup and window-filter the rows, replay each candidate, score the text
-overlap, and decide. Archive search needs both a complete handle and a
-timestamp; when either is missing, or the window ends before the first
-Snowflake ID, the run short-circuits to NotFound with a warning instead
-of guessing.
+with its Snowflake ID range and prefix filter, query the CDX index, dedup
+and window-filter the rows, replay each candidate, score the text overlap,
+and decide. Archive search needs both a complete handle and a timestamp;
+when either is missing, or the window ends before the first Snowflake ID,
+the run short-circuits to NotFound with a warning instead of guessing.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,6 +62,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold {self.threshold} outside (0, 1]")
+        if self.top_scores < 0:
+            raise ConfigError(f"top_scores {self.top_scores} is negative")
         if self.transport_mode.kind not in ("live", "fixture", "record"):
             raise ConfigError(f"unknown transport mode {self.transport_mode.kind!r}")
         if self.transport_mode.kind != "live" and self.transport_mode.path is None:
@@ -80,7 +82,8 @@ def make_transport(config: PipelineConfig) -> HttpTransport:
 
 @dataclass
 class VerdictReport:
-    """The tool's public JSON contract for one verification run."""
+    """The tool's public JSON contract for one verification run. Its replay
+    counts derive from ``replay_methods`` and ``verdict.failures``."""
 
     source_id: str
     fields: ExtractedFields
@@ -89,9 +92,6 @@ class VerdictReport:
     cdx_query: str | None = None
     cdx_rows: int = 0
     deduped: int = 0
-    in_window: int = 0
-    replayed_ok: int = 0
-    replay_failures: int = 0
     replay_methods: dict[str, int] = field(default_factory=dict)
     top_scores: list[matching.MatchResult] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -100,8 +100,18 @@ class VerdictReport:
     def __post_init__(self) -> None:
         if not self.in_window <= self.deduped <= self.cdx_rows:
             raise ValueError("inconsistent counts: in_window <= deduped <= cdx_rows")
-        if self.replayed_ok + self.replay_failures != self.in_window:
-            raise ValueError("replayed_ok + replay_failures must equal in_window")
+
+    @property
+    def replayed_ok(self) -> int:
+        return sum(self.replay_methods.values())
+
+    @property
+    def replay_failures(self) -> int:
+        return len(self.verdict.failures)
+
+    @property
+    def in_window(self) -> int:
+        return self.replayed_ok + self.replay_failures
 
     def to_dict(self) -> dict:
         evidence = None
@@ -220,10 +230,9 @@ def run_pipeline(
         return _short_circuit(doc, fields, config, "timestamp precedes Snowflake tweet IDs")
 
     warnings: list[str] = []
-    id_filter = snowflake.common_prefix_filter(window.low_id, window.high_id)
-    if id_filter is None:
+    if window.id_filter is None:
         warnings.append("ID bounds differ in decimal length; querying without narrowing")
-    query = cdx.build_cdx_query(fields.handle, window, id_filter)
+    query = cdx.build_cdx_query(fields.handle, window)
 
     body = cdx.fetch_cdx(query, transport)
     records, parse_warnings = cdx.parse_cdx_response(body)
@@ -242,10 +251,7 @@ def run_pipeline(
 
     scored = matching.score_candidates(fields.tweet_text, candidates)
     verdict = matching.decide_scored(scored, failures, config.threshold)
-    methods: dict[str, int] = {}
-    for candidate in candidates:
-        key = candidate.extraction_method.value
-        methods[key] = methods.get(key, 0) + 1
+    methods = Counter(candidate.extraction_method.value for candidate in candidates)
 
     return VerdictReport(
         source_id=doc.source_id,
@@ -255,9 +261,6 @@ def run_pipeline(
         cdx_query=query,
         cdx_rows=len(records),
         deduped=len(deduped),
-        in_window=len(refs),
-        replayed_ok=len(candidates),
-        replay_failures=len(failures),
         replay_methods=methods,
         top_scores=scored[: config.top_scores],
         warnings=warnings,

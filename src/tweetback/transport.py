@@ -149,28 +149,23 @@ class LiveTransport(HttpTransport):
         self._session = requests.Session()
         self._session.headers["User-Agent"] = USER_AGENT
         self._lock = threading.Lock()
-        self._last_request: dict[str, float] = {}
+        self._next_slot: dict[str, float] = {}
 
     def _wait_politely(self, url: str, delay: float = 0.0) -> None:
-        """Wait for the next request slot of ``url``'s host and claim it.
+        """Reserve the next request slot of ``url``'s host and wait for it.
 
-        Slots are MIN_INTERVAL_S apart. A caller that must also wait
-        ``delay`` seconds (a server's Retry-After) claims its slot that far
-        ahead before it sleeps, so no other thread sends to the host until
-        then: one already waiting finds the later claim when it wakes.
+        Slots are at least MIN_INTERVAL_S apart and handed out in the order
+        callers arrive. A caller that must also wait ``delay`` seconds (a
+        server's Retry-After) reserves a slot no earlier than that, so no
+        later caller sends to the host before then.
         """
         host = urlparse(url).netloc
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                last = self._last_request.get(host)
-                wait = max(delay, 0.0 if last is None else last + MIN_INTERVAL_S - now)
-                if wait <= 0 or delay:
-                    self._last_request[host] = now + wait
-                    break
-            time.sleep(wait)
-        if wait > 0:
-            time.sleep(wait)
+        with self._lock:
+            now = time.monotonic()
+            slot = max(now + delay, self._next_slot.get(host, now))
+            self._next_slot[host] = slot + MIN_INTERVAL_S
+        if slot > now:
+            time.sleep(slot - now)
 
     def _send(self, method: str, url: str, **kwargs) -> HttpResponse:
         """Send one request; a 429 with a Retry-After of at most

@@ -40,7 +40,7 @@ from tweetback.evaluation import run_evaluation
 from tweetback.extraction import extract_fields
 from tweetback.matching import chunk_scores
 from tweetback.ocr import OcrDocument
-from tweetback.snowflake import common_prefix_filter, id_to_time, time_to_id_bounds
+from tweetback.snowflake import id_to_time, time_to_id_bounds
 from tweetback.transport import RecordingTransport
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -65,8 +65,7 @@ def query_for(doc_lines: tuple[str, ...]) -> tuple[str, object]:
     fields = extract_fields(OcrDocument("gen", doc_lines))
     assert fields.handle is not None and fields.timestamp is not None, doc_lines
     window = build_window(fields.timestamp)
-    id_filter = common_prefix_filter(window.low_id, window.high_id)
-    return build_cdx_query(fields.handle, window, id_filter), window
+    return build_cdx_query(fields.handle, window), window
 
 
 # --- PamKeithFL end-to-end scenario -----------------------------------------

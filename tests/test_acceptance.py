@@ -65,10 +65,7 @@ def test_criterion_1_window_math_exact():
 def test_criterion_2_cdx_query_exact():
     with criterion(2, "narrowed query contains /status/152[2-3]&from=20220506212100&matchType=prefix"):
         window = build_window(PAM_TS)
-        query = build_cdx_query(
-            ExtractedHandle("PamKeithFL", True, 1), window,
-            common_prefix_filter(window.low_id, window.high_id),
-        )
+        query = build_cdx_query(ExtractedHandle("PamKeithFL", True, 1), window)
         assert "/status/152[2-3]&from=20220506212100&matchType=prefix" in query
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -11,7 +12,6 @@ from helpers import StubTransport, cdx_line, collapse_by_urlkey
 from tweetback.cdx import (
     ArchiveWindow,
     CdxRecord,
-    IncompleteHandleError,
     build_cdx_query,
     build_window,
     dedup_candidates,
@@ -37,11 +37,6 @@ PAM_HANDLE = ExtractedHandle("PamKeithFL", True, 1)
 
 def pam_window() -> ArchiveWindow:
     return build_window(PAM_TS)
-
-
-def pam_filter():
-    window = pam_window()
-    return common_prefix_filter(window.low_id, window.high_id)
 
 
 class TestBuildWindow:
@@ -104,10 +99,21 @@ class TestBuildWindow:
             in_range = window.low_id <= tweet_id <= window.high_id
             assert in_range == (window.from_ts <= id_to_time(tweet_id) <= window.to_ts)
 
+    def test_window_owns_its_id_prefix(self):
+        window = pam_window()
+        assert window.id_filter == common_prefix_filter(window.low_id, window.high_id)
+        assert window.id_filter.render() == "152[2-3]"
+
+    def test_no_id_prefix_across_a_decimal_length_boundary(self):
+        # Tweet IDs reach 10**18, their 19th digit, on 2018-05-25 at 13:05:53 UTC.
+        window = build_window(ScreenshotTimestamp(2018, 5, 25, 13, 5, True))
+        assert len(str(window.low_id)) == 18 and len(str(window.high_id)) == 19
+        assert window.id_filter is None
+
 
 class TestBuildQuery:
     def test_narrowed_query_verbatim(self):
-        query = build_cdx_query(PAM_HANDLE, pam_window(), pam_filter())
+        query = build_cdx_query(PAM_HANDLE, pam_window())
         assert query == (
             "https://web.archive.org/cdx/search/cdx"
             "?url=https://twitter.com/PamKeithFL/status/152[2-3]"
@@ -115,16 +121,12 @@ class TestBuildQuery:
         )
 
     def test_unnarrowed_query_verbatim(self):
-        query = build_cdx_query(PAM_HANDLE, pam_window(), None)
+        query = build_cdx_query(PAM_HANDLE, replace(pam_window(), id_filter=None))
         assert query == (
             "https://web.archive.org/cdx/search/cdx"
             "?url=https://twitter.com/PamKeithFL/status"
             "&from=20220506212100&matchType=prefix&collapse=urlkey"
         )
-
-    def test_incomplete_handle_rejected(self):
-        with pytest.raises(IncompleteHandleError):
-            build_cdx_query(ExtractedHandle("DrSJaish", False, 0), pam_window(), None)
 
 
 class TestParse:
@@ -281,8 +283,8 @@ def _sorted_rows(lines: list[str]) -> list[str]:
 
 class TestServerCollapse:
     def test_query_asks_for_one_row_per_urlkey(self):
-        for id_filter in (pam_filter(), None):
-            query = build_cdx_query(PAM_HANDLE, pam_window(), id_filter)
+        for window in (pam_window(), replace(pam_window(), id_filter=None)):
+            query = build_cdx_query(PAM_HANDLE, window)
             assert query.endswith("&matchType=prefix&collapse=urlkey")
 
     @given(

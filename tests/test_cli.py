@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import StubTransport
+import tweetback.ocr
+from helpers import StubTransport, fresh_interpreter
 from tweetback.cli import (
     EXIT_ARCHIVED,
     EXIT_ERROR,
@@ -113,6 +114,43 @@ class TestVerify:
             "--fixtures", str(pam_fixtures_dir), "--window-hours", "26",
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("top", ["-1", "-4"])
+    def test_negative_top_is_error(self, capsys, pam_ocr_path, pam_fixtures_dir, top):
+        code = main([
+            "verify", "--ocr-text", str(pam_ocr_path),
+            "--fixtures", str(pam_fixtures_dir), "--top", top,
+        ])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: top_scores {top} is negative\n"
+
+    @pytest.mark.parametrize("status, body, message", [
+        (500, "boom", "OCR service returned HTTP 500: boom"),
+        (200, "[]", "OCR response lacks a 'lines' string array"),
+    ])
+    def test_ocr_service_failure_is_error(self, capsys, monkeypatch, tmp_path,
+                                          status, body, message):
+        endpoint = "https://ocr.test/lines"
+        stub = StubTransport().add_post(endpoint, body, status)
+        monkeypatch.setattr(tweetback.ocr, "LiveTransport", lambda: stub)
+        image = tmp_path / "shot.png"
+        image.write_bytes(b"\x89PNG fake")
+        code = main(["verify", "--image", str(image), "--ocr-endpoint", endpoint])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert len(stub.post_log) == 1
+
+    def test_live_run_without_requests_is_error(self, pam_ocr_path):
+        code = """
+import sys
+sys.modules["requests"] = None
+from tweetback.cli import main
+print(main(sys.argv[1:]))
+"""
+        out = fresh_interpreter(code, "verify", "--ocr-text", str(pam_ocr_path))
+        assert out == str(EXIT_ERROR)
 
 
 class TestExtract:
