@@ -3,13 +3,13 @@
 The screenshot timestamp is a wall clock in an unknown timezone, so the
 tweet's true UTC creation time lies within WINDOW_SLACK either side of
 it. build_window also derives, once, the range of Snowflake tweet IDs
-minted inside that window and the decimal ID prefix covering it. The CDX
-query uses the window's left edge as ``from=`` (captures can only happen
-after posting) and that prefix to cut the result set down; rows are then
-kept by comparing their tweet ID with the range, since the prefix admits
-more IDs and a capture may be taken long after the tweet was posted. The
-server collapses the rows to one per urlkey, so it sends only the row
-that dedup keeps.
+minted inside that window; the window derives from the range the decimal
+ID prefix covering it. The CDX query uses the window's left edge as
+``from=`` (captures can only happen after posting) and that prefix to cut
+the result set down; rows are then kept by comparing their tweet ID with
+the range, since the prefix admits more IDs and a capture may be taken
+long after the tweet was posted. The server collapses the rows to one per
+urlkey, so it sends only the row that dedup keeps.
 
 Each capture has two replay URLs, both built here: the plain one, which
 the report cites for a human to open, and the raw ``id_`` one, which is
@@ -52,11 +52,13 @@ class ArchiveWindow:
     to_ts: datetime
     low_id: int
     high_id: int
-    id_filter: snowflake.IdPrefixFilter | None
+    id_filter: snowflake.IdPrefixFilter | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.from_ts >= self.to_ts:
             raise ValueError("window start must precede window end")
+        object.__setattr__(
+            self, "id_filter", snowflake.common_prefix_filter(self.low_id, self.high_id))
 
     @property
     def from_cdx14(self) -> str:
@@ -127,8 +129,7 @@ def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
     # rounding: the range holds exactly the IDs minted inside the window.
     low_id, _ = snowflake.time_to_id_bounds(max(from_ts, snowflake.SNOWFLAKE_EPOCH))
     _, high_id = snowflake.time_to_id_bounds(to_ts)
-    id_filter = snowflake.common_prefix_filter(low_id, high_id)
-    return ArchiveWindow(from_ts, to_ts, low_id, high_id, id_filter)
+    return ArchiveWindow(from_ts, to_ts, low_id, high_id)
 
 
 def build_cdx_query(handle: ExtractedHandle, window: ArchiveWindow) -> str:

@@ -150,22 +150,32 @@ class LiveTransport(HttpTransport):
         self._session.headers["User-Agent"] = USER_AGENT
         self._lock = threading.Lock()
         self._next_slot: dict[str, float] = {}
+        self._held_until: dict[str, float] = {}
 
     def _wait_politely(self, url: str, delay: float = 0.0) -> None:
         """Reserve the next request slot of ``url``'s host and wait for it.
 
         Slots are at least MIN_INTERVAL_S apart and handed out in the order
         callers arrive. A caller that must also wait ``delay`` seconds (a
-        server's Retry-After) reserves a slot no earlier than that, so no
-        later caller sends to the host before then.
+        server's Retry-After) reserves a slot no earlier than that and holds
+        the host until it: one that reserved an earlier slot before the hold
+        finds it when it wakes, and reserves again.
         """
         host = urlparse(url).netloc
         with self._lock:
             now = time.monotonic()
             slot = max(now + delay, self._next_slot.get(host, now))
             self._next_slot[host] = slot + MIN_INTERVAL_S
-        if slot > now:
+            if delay:
+                self._held_until[host] = slot
+        while slot > now:
             time.sleep(slot - now)
+            with self._lock:
+                now = time.monotonic()
+                if self._held_until.get(host, slot) <= slot:
+                    return
+                slot = self._next_slot[host]
+                self._next_slot[host] = slot + MIN_INTERVAL_S
 
     def _send(self, method: str, url: str, **kwargs) -> HttpResponse:
         """Send one request; a 429 with a Retry-After of at most

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -33,6 +32,11 @@ UTC = timezone.utc
 
 PAM_TS = ScreenshotTimestamp(2022, 5, 7, 23, 21, True, source_line_index=4)
 PAM_HANDLE = ExtractedHandle("PamKeithFL", True, 1)
+
+
+# Tweet IDs reach 10**18, their 19th digit, on 2018-05-25 at 13:05:53 UTC,
+# so a window around then has no common ID prefix.
+BOUNDARY_TS = ScreenshotTimestamp(2018, 5, 25, 13, 5, True)
 
 
 def pam_window() -> ArchiveWindow:
@@ -105,8 +109,7 @@ class TestBuildWindow:
         assert window.id_filter.render() == "152[2-3]"
 
     def test_no_id_prefix_across_a_decimal_length_boundary(self):
-        # Tweet IDs reach 10**18, their 19th digit, on 2018-05-25 at 13:05:53 UTC.
-        window = build_window(ScreenshotTimestamp(2018, 5, 25, 13, 5, True))
+        window = build_window(BOUNDARY_TS)
         assert len(str(window.low_id)) == 18 and len(str(window.high_id)) == 19
         assert window.id_filter is None
 
@@ -121,11 +124,11 @@ class TestBuildQuery:
         )
 
     def test_unnarrowed_query_verbatim(self):
-        query = build_cdx_query(PAM_HANDLE, replace(pam_window(), id_filter=None))
+        query = build_cdx_query(PAM_HANDLE, build_window(BOUNDARY_TS))
         assert query == (
             "https://web.archive.org/cdx/search/cdx"
             "?url=https://twitter.com/PamKeithFL/status"
-            "&from=20220506212100&matchType=prefix&collapse=urlkey"
+            "&from=20180524110500&matchType=prefix&collapse=urlkey"
         )
 
 
@@ -283,7 +286,7 @@ def _sorted_rows(lines: list[str]) -> list[str]:
 
 class TestServerCollapse:
     def test_query_asks_for_one_row_per_urlkey(self):
-        for window in (pam_window(), replace(pam_window(), id_filter=None)):
+        for window in (pam_window(), build_window(BOUNDARY_TS)):
             query = build_cdx_query(PAM_HANDLE, window)
             assert query.endswith("&matchType=prefix&collapse=urlkey")
 

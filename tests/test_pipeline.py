@@ -3,7 +3,6 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from dataclasses import replace
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
 
@@ -112,15 +111,18 @@ class TestNarrowingSoundness:
         window = build_window(ts)
         transport = FixtureTransport(pam_fixtures_dir)
 
+        narrowed = build_cdx_query(handle, window)
+        unnarrowed = narrowed.replace(f"/status/{window.id_filter.render()}&", "/status&")
+        assert unnarrowed != narrowed
+
         survivors = {}
-        for narrowed in (window, replace(window, id_filter=None)):
-            query = build_cdx_query(handle, narrowed)
+        for query in (narrowed, unnarrowed):
             records, _ = parse_cdx_response(transport.get(query).body)
             deduped = dedup_candidates(records)
             refs, _ = filter_by_window(deduped, window)
-            survivors[narrowed.id_filter is not None] = {r.tweet_id for r in refs}
-        assert survivors[True] == survivors[False]
-        assert len(survivors[True]) == 5
+            survivors[query] = {r.tweet_id for r in refs}
+        assert survivors[narrowed] == survivors[unnarrowed]
+        assert len(survivors[narrowed]) == 5
 
     def test_id_length_boundary_queries_without_prefix(self):
         # Tweet IDs reach 10**18, their 19th digit, on 2018-05-25.

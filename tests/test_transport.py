@@ -343,6 +343,53 @@ class TestLiveTransportRateLimit:
         assert clock.sleeps == [30.0, min_interval]
         assert starts == [1000.0, 1030.0, 1030.0 + min_interval, 1030.0 + min_interval]
 
+    def test_wait_holds_a_slot_reserved_before_it(self, monkeypatch):
+        # Thread B reserves the next slot while A's request is in flight; A
+        # then gets a 429 with Retry-After 30. B must not send before A's
+        # resend. Events fix the interleaving, and the fake clock moves on
+        # only when B has either slept again or sent.
+        clock = _FakeClock()
+        monkeypatch.setattr(tweetback.transport, "time", clock)
+        transport = LiveTransport()
+        a_in_flight, b_asleep, a_holds, b_moved = (threading.Event() for _ in range(4))
+        starts: dict[str, list[float]] = {"A": [], "B": []}
+
+        def fake_request(method, url, **kwargs):
+            name = threading.current_thread().name
+            starts[name].append(clock.now)
+            if name == "B":
+                b_moved.set()
+            elif len(starts["A"]) == 1:
+                a_in_flight.set()
+                assert b_asleep.wait(5)
+                return self._response(429, {"Retry-After": "30"})
+            return self._response(200)
+
+        def sleep(seconds: float) -> None:
+            until = clock.now + seconds
+            if threading.current_thread().name == "A":
+                a_holds.set()
+                assert b_moved.wait(5)
+            elif not b_asleep.is_set():
+                b_asleep.set()
+                assert a_holds.wait(5)
+            else:
+                b_moved.set()
+            clock.now = max(clock.now, until)
+
+        monkeypatch.setattr(clock, "sleep", sleep)
+        monkeypatch.setattr(transport._session, "request", fake_request)
+        threads = {name: threading.Thread(target=transport.get, args=(self.URL,), name=name)
+                   for name in ("A", "B")}
+        threads["A"].start()
+        assert a_in_flight.wait(5)
+        threads["B"].start()
+        for thread in threads.values():
+            thread.join(10)
+        assert starts["A"][0] == 1000.0 and len(starts["A"]) == 2
+        assert starts["B"] == [1030.0 + tweetback.transport.MIN_INTERVAL_S]
+        assert starts["B"][0] >= starts["A"][1]
+
 
 class TestPaced:
     def test_only_the_live_transport_is_paced(self):
