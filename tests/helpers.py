@@ -12,9 +12,13 @@ from pathlib import Path
 
 import tweetback
 from tweetback.cdx import build_replay_url
+from tweetback.evaluation import EVALUATION_THRESHOLDS, FIXTURES_SUBDIR, OCR_SUBDIR
 from tweetback.matching import normalize
+from tweetback.ocr import load_text_document
+from tweetback.pipeline import PipelineConfig, run_pipeline
 from tweetback.transport import (
     FixtureMissingError,
+    FixtureTransport,
     HttpResponse,
     HttpTransport,
 )
@@ -84,6 +88,22 @@ def fresh_interpreter(code: str, *args: str) -> str:
         capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout.strip()
+
+
+def frozen_corpus_reports(corpus_dir: Path) -> dict[str, dict]:
+    """Every eval-corpus document's verdict report at each evaluation
+    threshold, keyed ``<stem>@<threshold>``, without the run-dependent
+    ``generated_at`` and with the document's stem as its ``source_id``."""
+    transport = FixtureTransport(corpus_dir / FIXTURES_SUBDIR)
+    reports: dict[str, dict] = {}
+    for path in sorted((corpus_dir / OCR_SUBDIR).glob("*.txt")):
+        doc = load_text_document(path)
+        for threshold in EVALUATION_THRESHOLDS:
+            report = run_pipeline(doc, PipelineConfig(threshold=threshold), transport).to_dict()
+            del report["generated_at"]
+            report["source_id"] = path.stem
+            reports[f"{path.stem}@{threshold:.2f}"] = report
+    return reports
 
 
 def fake_digest(seed: str) -> str:

@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import (
     StubTransport,
     cdx_line,
+    frozen_corpus_reports,
     jsonld_tweet_html,
     legacy_tweet_html,
     meta_tweet_html,
@@ -465,6 +466,11 @@ def verify_and_freeze(data_dir: Path) -> None:
     golden["corpus_dir"] = "tests/data/eval_corpus"
     (data_dir / "eval_corpus_expected.json").write_text(
         json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    reports = frozen_corpus_reports(data_dir / "eval_corpus")
+    (data_dir / "eval_corpus_reports_golden.json").write_text(
+        json.dumps(reports, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        encoding="utf-8",
     )
 
 

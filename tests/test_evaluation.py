@@ -5,6 +5,7 @@ import shutil
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from helpers import frozen_corpus_reports
 
 import tweetback.evaluation
 from tweetback.cdx import CandidateRef
@@ -232,6 +233,12 @@ class TestRunEvaluation:
         got = report.to_dict()
         got["corpus_dir"] = "tests/data/eval_corpus"
         assert got == golden
+
+    def test_every_corpus_report_matches_golden(self, eval_corpus_dir, data_dir):
+        golden = json.loads((data_dir / "eval_corpus_reports_golden.json").read_text("utf-8"))
+        reports = frozen_corpus_reports(eval_corpus_dir)
+        assert len(reports) == 24
+        assert reports == golden
 
     def test_one_pipeline_run_and_one_transport_per_corpus(self, eval_corpus_dir, monkeypatch):
         runs: list[str] = []
