@@ -89,7 +89,7 @@ def ocr_image(
 
     Raises NetworkError on transport failure, OcrServiceError on non-200
     responses, and MalformedServiceResponseError when the body is not the
-    expected ``{"lines": [...]}`` JSON object.
+    expected ``{"lines": [...]}`` JSON object of single-line strings.
     """
     if not image:
         raise ValueError("image must be non-empty")
@@ -103,13 +103,18 @@ def ocr_image(
         raise OcrServiceError(response.status, response.body[:200])
     try:
         payload = json.loads(response.body)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # A body nested deeper than the decoder's recursion limit is as
+        # unreadable as a malformed one.
         raise MalformedServiceResponseError(f"OCR response is not JSON: {err}") from err
     lines = payload.get("lines") if isinstance(payload, dict) else None
     if not isinstance(lines, list) or not all(isinstance(x, str) for x in lines):
         raise MalformedServiceResponseError("OCR response lacks a 'lines' string array")
     digest = hashlib.sha256(image).hexdigest()[:12]
-    return OcrDocument(source_id=f"image:{digest}", lines=tuple(lines))
+    try:
+        return OcrDocument(source_id=f"image:{digest}", lines=tuple(lines))
+    except ValueError as err:
+        raise MalformedServiceResponseError(f"OCR response has a bad line: {err}") from err
 
 
 __all__ = [

@@ -142,6 +142,18 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert len(stub.post_log) == 1
 
+    def test_over_deep_ocr_body_is_error(self, capsys, monkeypatch, tmp_path):
+        endpoint = "https://ocr.test/lines"
+        stub = StubTransport().add_post(endpoint, "[" * 200000)
+        monkeypatch.setattr(tweetback.ocr, "LiveTransport", lambda: stub)
+        image = tmp_path / "shot.png"
+        image.write_bytes(b"\x89PNG fake")
+        code = main(["verify", "--image", str(image), "--ocr-endpoint", endpoint])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: OCR response is not JSON")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_live_run_without_requests_is_error(self, pam_ocr_path):
         code = """
 import sys

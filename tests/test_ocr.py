@@ -118,6 +118,19 @@ def test_ocr_image_malformed_response(body):
         ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
 
 
+def test_ocr_image_over_deep_body_is_malformed():
+    transport = StubTransport().add_post(ENDPOINT, "[" * 200000)
+    with pytest.raises(MalformedServiceResponseError, match="OCR response is not JSON"):
+        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
+
+
+@pytest.mark.parametrize("line", ["a\nb", "a\rb"])
+def test_ocr_image_line_with_newline_is_malformed(line):
+    transport = StubTransport().add_post(ENDPOINT, json.dumps({"lines": ["ok", line]}))
+    with pytest.raises(MalformedServiceResponseError, match="newline"):
+        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
+
+
 def test_ocr_image_rejects_empty_image():
     with pytest.raises(ValueError):
         ocr_image(b"", OcrServiceConfig(endpoint=ENDPOINT), StubTransport())
