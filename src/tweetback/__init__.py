@@ -31,7 +31,6 @@ from .replay import (
     fetch_replay,
 )
 from .snowflake import (
-    IdPrefixFilter,
     common_prefix_filter,
     id_to_time,
     time_to_id_bounds,
@@ -46,7 +45,6 @@ __all__ = [
     "ExtractedHandle",
     "ExtractionMethod",
     "FailureReason",
-    "IdPrefixFilter",
     "MatchResult",
     "OcrDocument",
     "OcrServiceConfig",

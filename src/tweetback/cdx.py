@@ -46,13 +46,13 @@ _STATUS_ID_RE = re.compile(r"/status/(\d+)(?:[/?#]|$)", re.ASCII)
 class ArchiveWindow:
     """UTC interval that must contain the tweet's creation time, the tweet
     IDs that can have been minted inside it, [low_id, high_id], and the
-    decimal prefix covering them (None when their lengths differ)."""
+    CDX regex fragment covering them (None when their lengths differ)."""
 
     from_ts: datetime
     to_ts: datetime
     low_id: int
     high_id: int
-    id_filter: snowflake.IdPrefixFilter | None = field(init=False, compare=False)
+    id_filter: str | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.from_ts >= self.to_ts:
@@ -67,19 +67,15 @@ class ArchiveWindow:
 
 @dataclass(frozen=True)
 class CdxRecord:
-    """One row of the CDX index (default space-separated output).
+    """The two fields read from one row of the CDX index: the capture
+    timestamp and the original URL.
 
     The capture timestamp is parsed once, on construction; a malformed
     one raises ValueError.
     """
 
-    urlkey: str
     timestamp14: str
     original_url: str
-    mimetype: str
-    statuscode: str
-    digest: str
-    length: str
     archived_at: datetime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -135,9 +131,9 @@ def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
 def build_cdx_query(handle: ExtractedHandle, window: ArchiveWindow) -> str:
     """Build the prefix-match CDX query URL for a handle's status pages.
 
-    The window's ID filter, when it has one, becomes a literal path
-    fragment like ``152[2-3]`` (the CDX server treats it as a regex); the
-    URL is built verbatim, without percent-encoding, to match what the
+    The window's ID filter, when it has one, ends the path as is: a
+    fragment like ``152[2-3]``, which the CDX server treats as a regex.
+    The URL is built verbatim, without percent-encoding, to match what the
     server expects. The handle is used as given; run_pipeline never passes
     a truncated one.
 
@@ -149,7 +145,7 @@ def build_cdx_query(handle: ExtractedHandle, window: ArchiveWindow) -> str:
     """
     path = f"https://twitter.com/{handle.handle}/status"
     if window.id_filter is not None:
-        path += f"/{window.id_filter.render()}"
+        path += f"/{window.id_filter}"
     return f"{CDX_ENDPOINT}?url={path}&from={window.from_cdx14}&matchType=prefix&collapse=urlkey"
 
 
@@ -168,7 +164,10 @@ def _parse_timestamp14(value: str) -> datetime | None:
 
 
 def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
-    """Split a CDX response into records, collecting malformed lines as warnings."""
+    """Split a CDX response into records, collecting malformed lines as warnings.
+
+    A row must have all CDX_FIELD_COUNT fields of the default output.
+    """
     records: list[CdxRecord] = []
     warnings: list[str] = []
     for number, line in enumerate(body.splitlines(), start=1):
@@ -176,10 +175,10 @@ def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
             continue
         fields = line.split(" ")
         if len(fields) != CDX_FIELD_COUNT:
-            warnings.append(f"cdx line {number}: expected 7 fields, got {len(fields)}")
+            warnings.append(f"cdx line {number}: expected {CDX_FIELD_COUNT} fields, got {len(fields)}")
             continue
         try:
-            record = CdxRecord(*fields)
+            record = CdxRecord(fields[1], fields[2])
         except ValueError as err:
             warnings.append(f"cdx line {number}: {err}")
             continue

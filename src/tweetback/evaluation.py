@@ -204,7 +204,6 @@ def load_ground_truth(csv_path: str | Path) -> dict[str, GroundTruthRecord]:
 @dataclass
 class EvaluationReport:
     corpus_dir: str
-    record_count: int
     timestamp_metrics: MetricsSummary
     handle_metrics: MetricsSummary
     verification: dict[float, MetricsSummary]
@@ -213,6 +212,11 @@ class EvaluationReport:
     missing_ground_truth: list[str] = field(default_factory=list)
     missing_fixtures: list[str] = field(default_factory=list)
     missing_ocr: list[str] = field(default_factory=list)
+
+    @property
+    def record_count(self) -> int:
+        """Documents scored: each is tallied once in every summary."""
+        return self.timestamp_metrics.total
 
     def to_dict(self) -> dict:
         return {
@@ -342,7 +346,6 @@ def run_evaluation(corpus_dir: str | Path) -> EvaluationReport:
     }
     return EvaluationReport(
         corpus_dir=str(corpus_dir),
-        record_count=len(scored_extraction),
         timestamp_metrics=timestamp_metrics,
         handle_metrics=handle_metrics,
         verification=verification,

@@ -121,11 +121,11 @@ class ExtractedFields:
     handle: ExtractedHandle | None
     timestamp: ScreenshotTimestamp | None
     tweet_text: str
-    text_is_fallback: bool
 
-    def __post_init__(self) -> None:
-        if self.text_is_fallback != (self.handle is None or self.timestamp is None):
-            raise ValueError("text_is_fallback must track missing handle/timestamp")
+    @property
+    def text_is_fallback(self) -> bool:
+        """True when the text is the whole OCR output, for want of an anchor."""
+        return self.handle is None or self.timestamp is None
 
     def to_dict(self) -> dict:
         """The JSON form shared by the verdict report and ``tweetback extract``."""
@@ -246,7 +246,7 @@ def extract_tweet_text(
     doc: OcrDocument,
     handle: ExtractedHandle | None,
     ts: ScreenshotTimestamp | None,
-) -> tuple[str, bool]:
+) -> str:
     """Slice the tweet body out of the OCR lines.
 
     The text sits strictly between the handle line and the timestamp line.
@@ -254,9 +254,9 @@ def extract_tweet_text(
     handle, the whole OCR output is returned as a fallback.
     """
     if handle is None or ts is None or handle.source_line_index >= ts.source_line_index:
-        return doc.raw_text, True
+        return doc.raw_text
     between = doc.lines[handle.source_line_index + 1 : ts.source_line_index]
-    return "\n".join(between), False
+    return "\n".join(between)
 
 
 def extract_fields(doc: OcrDocument) -> ExtractedFields:
@@ -270,7 +270,4 @@ def extract_fields(doc: OcrDocument) -> ExtractedFields:
     ts = extract_timestamp(doc)
     if handle is not None and ts is not None and ts.source_line_index <= handle.source_line_index:
         ts = None
-    tweet_text, fallback = extract_tweet_text(doc, handle, ts)
-    return ExtractedFields(
-        handle=handle, timestamp=ts, tweet_text=tweet_text, text_is_fallback=fallback
-    )
+    return ExtractedFields(handle, ts, extract_tweet_text(doc, handle, ts))

@@ -174,22 +174,8 @@ def decide_scored(
         raise InvalidThresholdError(f"threshold {threshold} outside (0, 1]")
     best = min(results, key=_rank, default=None)
     if best is not None and best.score >= threshold:
-        return Verdict(
-            kind=VerdictKind.ARCHIVED,
-            evidence=best,
-            threshold_used=threshold,
-            failures=tuple(failures),
-        )
-    if not results and failures:
-        return Verdict(
-            kind=VerdictKind.NON_REPLAYABLE,
-            evidence=None,
-            threshold_used=threshold,
-            failures=tuple(failures),
-        )
-    return Verdict(
-        kind=VerdictKind.NOT_FOUND,
-        evidence=None,
-        threshold_used=threshold,
-        failures=tuple(failures),
-    )
+        kind = VerdictKind.ARCHIVED
+    else:
+        kind = VerdictKind.NON_REPLAYABLE if not results and failures else VerdictKind.NOT_FOUND
+        best = None
+    return Verdict(kind=kind, evidence=best, threshold_used=threshold, failures=tuple(failures))

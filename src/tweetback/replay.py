@@ -31,12 +31,12 @@ from enum import Enum
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlparse
 
-from .cdx import CandidateRef
+from .cdx import REPLAY_BASE, CandidateRef
 from .transport import FixtureMissingError, HttpTransport, NetworkError, TransportError
 
 MAX_REDIRECT_HOPS = 5
 
-REPLAY_HOST = "web.archive.org"
+REPLAY_HOST = urlparse(REPLAY_BASE).netloc
 
 _VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()

@@ -9,7 +9,6 @@ of IDs that could have been minted during that millisecond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 # Twitter Snowflake epoch: 2010-11-04T01:42:54.657Z.
@@ -63,33 +62,16 @@ def time_to_id_bounds(t: datetime) -> tuple[int, int]:
     return low, low | LOW_BITS_MASK
 
 
-@dataclass(frozen=True)
-class IdPrefixFilter:
-    """Decimal common-prefix filter covering an ID range.
+def common_prefix_filter(low: int, high: int) -> str | None:
+    """The CDX regex fragment covering the ID range [low, high].
 
-    Renders as ``prefix[low-high]`` (a CDX-compatible regex fragment), or
-    ``prefix`` + digit when both bounding digits coincide. The filter is
-    a superset: every in-range ID of the same decimal length matches, but
-    some matching IDs may fall outside the range, so callers must
-    re-filter exactly.
-    """
-
-    prefix: str
-    low_digit: str
-    high_digit: str
-
-    def render(self) -> str:
-        if self.low_digit == self.high_digit:
-            return f"{self.prefix}{self.low_digit}"
-        return f"{self.prefix}[{self.low_digit}-{self.high_digit}]"
-
-
-def common_prefix_filter(low: int, high: int) -> IdPrefixFilter | None:
-    """Derive the decimal prefix filter for the ID range [low, high].
-
-    Returns None when the bounds render to decimal strings of different
-    lengths: no single prefix is then safe, and the caller should query
-    without narrowing.
+    That is the bounds' common decimal prefix, then a ``[low-high]`` class
+    of their first differing digits (``152[2-3]``), or the whole ID when
+    ``low == high``. It is a superset: every in-range ID of the same
+    decimal length matches, but some matching IDs may fall outside the
+    range, so callers must re-filter exactly. Returns None when the bounds
+    render to decimal strings of different lengths: no single prefix is
+    then safe, and the caller should query without narrowing.
     """
     if low > high:
         raise ValueError(f"inverted ID range: {low} > {high}")
@@ -97,8 +79,8 @@ def common_prefix_filter(low: int, high: int) -> IdPrefixFilter | None:
     if len(s_low) != len(s_high):
         return None
     if s_low == s_high:
-        return IdPrefixFilter(prefix=s_low[:-1], low_digit=s_low[-1], high_digit=s_low[-1])
+        return s_low
     i = 0
     while s_low[i] == s_high[i]:
         i += 1
-    return IdPrefixFilter(prefix=s_low[:i], low_digit=s_low[i], high_digit=s_high[i])
+    return f"{s_low[:i]}[{s_low[i]}-{s_high[i]}]"

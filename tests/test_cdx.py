@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -106,7 +107,9 @@ class TestBuildWindow:
     def test_window_owns_its_id_prefix(self):
         window = pam_window()
         assert window.id_filter == common_prefix_filter(window.low_id, window.high_id)
-        assert window.id_filter.render() == "152[2-3]"
+        assert window.id_filter == "152[2-3]"
+        assert re.match(window.id_filter, str(window.low_id))
+        assert re.match(window.id_filter, str(window.high_id))
 
     def test_no_id_prefix_across_a_decimal_length_boundary(self):
         window = build_window(BOUNDARY_TS)
@@ -219,7 +222,7 @@ class TestParseTimestamp14:
 
     def test_record_rejects_bad_timestamp(self):
         with pytest.raises(ValueError):
-            CdxRecord("k", "20221301000000", "u", "text/html", "200", "D", "1")
+            CdxRecord("20221301000000", "u")
 
 
 class TestDedup:
@@ -263,15 +266,7 @@ class TestDedup:
     )
     def test_idempotent(self, raw):
         records = [
-            CdxRecord(
-                urlkey=f"com,twitter)/p/status/{n}",
-                timestamp14=f"{day}000000",
-                original_url=f"https://twitter.com/p/status/{n}",
-                mimetype="text/html",
-                statuscode="200",
-                digest="D",
-                length="1",
-            )
+            CdxRecord(timestamp14=f"{day}000000", original_url=f"https://twitter.com/p/status/{n}")
             for n, day in raw
         ]
         once = dedup_candidates(records)

@@ -41,12 +41,7 @@ def fields(handle: str | None = None, ts: datetime | None = None) -> ExtractedFi
         extracted_ts = ScreenshotTimestamp(
             ts.year, ts.month, ts.day, ts.hour, ts.minute, True, 1
         )
-    return ExtractedFields(
-        handle=extracted_handle,
-        timestamp=extracted_ts,
-        tweet_text="text",
-        text_is_fallback=extracted_handle is None or extracted_ts is None,
-    )
+    return ExtractedFields(handle=extracted_handle, timestamp=extracted_ts, tweet_text="text")
 
 
 def archived_verdict(tweet_id: int, threshold=0.80, score=0.95) -> Verdict:

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tweetback.extraction import (
-    ExtractedFields,
     ExtractedHandle,
     ScreenshotTimestamp,
     extract_fields,
@@ -179,24 +178,19 @@ class TestTweetText:
         )
         handle = extract_handle(d)
         ts = extract_timestamp(d)
-        text, fallback = extract_tweet_text(d, handle, ts)
-        assert text == "As we grieve the children of Uvalde"
-        assert fallback is False
+        assert extract_tweet_text(d, handle, ts) == "As we grieve the children of Uvalde"
 
     def test_missing_timestamp_falls_back(self):
         d = doc("@author", "some text")
-        text, fallback = extract_tweet_text(d, extract_handle(d), None)
-        assert (text, fallback) == (d.raw_text, True)
+        assert extract_tweet_text(d, extract_handle(d), None) == d.raw_text
 
     def test_adjacent_lines_give_empty_text(self):
         d = doc("@author", "4:08 PM 2022-05-25")
-        text, fallback = extract_tweet_text(d, extract_handle(d), extract_timestamp(d))
-        assert (text, fallback) == ("", False)
+        assert extract_tweet_text(d, extract_handle(d), extract_timestamp(d)) == ""
 
     def test_timestamp_above_handle_falls_back(self):
         d = doc("May 25, 2022", "@author")
-        text, fallback = extract_tweet_text(d, extract_handle(d), extract_timestamp(d))
-        assert (text, fallback) == (d.raw_text, True)
+        assert extract_tweet_text(d, extract_handle(d), extract_timestamp(d)) == d.raw_text
 
 
 class TestExtractFields:
@@ -258,11 +252,6 @@ def test_extracted_handle_validation():
         ExtractedHandle(handle="has space")
     with pytest.raises(ValueError):
         ExtractedHandle(handle="a" * 16)
-
-
-def test_extracted_fields_flag_invariant():
-    with pytest.raises(ValueError):
-        ExtractedFields(handle=None, timestamp=None, tweet_text="x", text_is_fallback=False)
 
 
 # --- properties over generated documents -----------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -107,15 +108,12 @@ def test_bounds_monotonic(ms, gap_ms):
 def test_common_prefix_filter_paper_window():
     low, _ = time_to_id_bounds(datetime(2022, 5, 6, 21, 21, tzinfo=UTC))
     _, high = time_to_id_bounds(datetime(2022, 5, 9, 1, 21, tzinfo=UTC))
-    filt = common_prefix_filter(low, high)
-    assert filt is not None
-    assert filt.render() == "152[2-3]"
+    assert common_prefix_filter(low, high) == "152[2-3]"
 
 
 def test_common_prefix_filter_degenerate_range():
     filt = common_prefix_filter(1523141006509502470, 1523141006509502470)
-    assert filt is not None
-    assert filt.render() == "1523141006509502470"
+    assert filt == "1523141006509502470"
 
 
 def test_common_prefix_filter_length_mismatch():
@@ -134,13 +132,14 @@ def test_prefix_filter_never_wider_than_one_digit_position(ms, span_ms):
     _, high = time_to_id_bounds(_ms_to_dt(ms + span_ms))
     filt = common_prefix_filter(low, high)
     if filt is not None:
-        assert filt.low_digit <= filt.high_digit
-        assert str(low).startswith(filt.prefix + filt.low_digit)
-        assert str(high).startswith(filt.prefix + filt.high_digit)
+        # A digit class with low > high would not compile, so re.match
+        # also checks that the class is ordered.
+        assert re.fullmatch(r"\d*(\[\d-\d\])?", filt)
+        assert re.match(filt, str(low)) and re.match(filt, str(high))
 
 
 def test_prefix_filter_soundness_sampled():
-    # Every sampled ID inside [low, high] must match the rendered filter.
+    # Every sampled ID inside [low, high] must match the regex fragment.
     rng = random.Random(20220508)
     checked = 0
     while checked < 10_000:
@@ -153,8 +152,5 @@ def test_prefix_filter_soundness_sampled():
             continue
         for _ in range(25):
             sample = rng.randint(low, high)
-            text = str(sample)
-            assert text.startswith(filt.prefix)
-            digit = text[len(filt.prefix)]
-            assert filt.low_digit <= digit <= filt.high_digit
+            assert re.match(filt, str(sample))
             checked += 1
