@@ -164,10 +164,7 @@ def _parse_timestamp14(value: str) -> datetime | None:
 
 
 def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
-    """Split a CDX response into records, collecting malformed lines as warnings.
-
-    A row must have all CDX_FIELD_COUNT fields of the default output.
-    """
+    """Split a CDX response into records, collecting malformed lines as warnings."""
     records: list[CdxRecord] = []
     warnings: list[str] = []
     for number, line in enumerate(body.splitlines(), start=1):
@@ -175,7 +172,8 @@ def parse_cdx_response(body: str) -> tuple[list[CdxRecord], list[str]]:
             continue
         fields = line.split(" ")
         if len(fields) != CDX_FIELD_COUNT:
-            warnings.append(f"cdx line {number}: expected {CDX_FIELD_COUNT} fields, got {len(fields)}")
+            warnings.append(
+                f"cdx line {number}: expected {CDX_FIELD_COUNT} fields, got {len(fields)}")
             continue
         try:
             record = CdxRecord(fields[1], fields[2])
