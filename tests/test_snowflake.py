@@ -112,8 +112,7 @@ def test_common_prefix_filter_paper_window():
 
 
 def test_common_prefix_filter_degenerate_range():
-    filt = common_prefix_filter(1523141006509502470, 1523141006509502470)
-    assert filt == "1523141006509502470"
+    assert common_prefix_filter(1523141006509502470, 1523141006509502470) == "1523141006509502470"
 
 
 def test_common_prefix_filter_length_mismatch():
