@@ -12,14 +12,29 @@ Replays are fetched in the raw ``id_`` form (see cdx.build_replay_url),
 which carries no toolbar and no rewritten links; results cite the plain
 replay URL.
 
-Parsing is done with the standard library's error-recovering HTMLParser,
-since archived pages are frequently truncated or malformed. A ``<![``
-section with an unknown keyword is skipped to its ``>`` on every Python
-version. Where the parser still gives up on markup it cannot read, the
-scan ends there and the strategies use what was read. A page is read
-only as far as the answer: the scan stops at the end of the first
-non-empty ``tweet-text`` element, since nothing after it can change the
-result.
+Archived pages are frequently truncated or malformed, so they are read
+in one forward pass by a small scanner, not by a parser that builds a
+tree. Its rules:
+
+- Each ``<`` opens a start tag, an end tag, a comment, or a ``<!…>`` or
+  ``<?…>`` declaration; otherwise it is text. A ``<![…]>`` section,
+  whatever its keyword, is a declaration and ends at its first ``>``.
+- A quote opens an attribute value only right after ``=``, and a ``>``
+  inside a quoted value does not end the tag. Tag and attribute names are
+  read case-insensitively, and the last duplicate attribute wins.
+- Text and attribute values have character references decoded, ``<br>``
+  reads as a space, and the raw text of ``script`` and ``style`` runs to
+  their own end tag and is never tweet text.
+- An element ends at the end tag that closes its last open namesake; a
+  tag written ``<…/>`` ends where it starts.
+- An unterminated construct ends the page: a tag with no ``>`` outside
+  quotes, a comment with no ``-->``, raw text with no end tag. The
+  strategies use what was read before it.
+
+So each character is read a bounded number of times, and any page costs
+time linear in its size. A page is read only as far as the answer: the
+scan stops at the end of the first non-empty ``tweet-text`` element,
+since nothing after it can change the result.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from html.parser import HTMLParser
+from html import unescape
 from urllib.parse import urljoin, urlparse
 
 from .cdx import REPLAY_BASE, CandidateRef
@@ -45,6 +60,24 @@ _VOID_TAGS = frozenset(
 _QUOTE_PAIRS = (("“", "”"), ('"', '"'), ("‘", "’"), ("'", "'"))
 
 _WHITESPACE_RE = re.compile(r"\s+")
+
+# One token at each "<": a start tag (groups 1, its name; 2, its raw
+# attributes; 5, a "/" just before its ">"), an end tag (6, its name), a
+# declaration, processing instruction or "<![…]>" section, or a "<" that
+# opens none of these and is text. A quote opens only after "=". The name and
+# each unquoted run are atomic, written (?=(…))\N since Python 3.10's re has
+# no atomic groups; backtracking into them costs quadratic time on hostile
+# markup.
+_TOKEN_RE = re.compile(
+    r"<(?:(?=([a-zA-Z][^\s/>]*))\1((?:(?=([^>=/]+))\3|/(?!>)|=\s*(?:"
+    r"""(?=([^\s>"'][^\s>]*))\4|"[^"]*"|'[^']*'|(?=[>=]|\Z)))*)(/?)>"""
+    r"|/(?:(?=([a-zA-Z][^\s/>]*))\6)?[^>]*>|[!?](?!--)[^>]*>|(?![a-zA-Z/!?]))"
+)
+
+_ATTR_RE = re.compile(r"""([^\s/=]+)(?:\s*=+\s*("[^"]*"|'[^']*'|\S+))?""")
+
+# What may follow "</script" or "</style" in the end tag of its raw text.
+_END_TAG_NAME_ENDS = "\t\n\f\r />"
 
 
 class ExtractionMethod(Enum):
@@ -96,89 +129,111 @@ class ReplayFailure:
     reason: FailureReason
 
 
-class _TweetTextFound(Exception):
-    """The first tweet-text element closed with text; the scan can stop."""
+def _attributes(raw: str) -> dict[str, str]:
+    """A start tag's attributes by lower-cased name, values decoded; the last
+    duplicate wins and a value-less attribute reads ""."""
+    return {name.lower(): unescape(value[1:-1] if value[:1] in ("'", '"') else value)
+            for name, value in _ATTR_RE.findall(raw)}
 
 
-class _PageScan(HTMLParser):
-    """Single-pass scan for the three extraction strategies.
+def _raw_text_end(page: str, pos: int, name: str) -> tuple[int, int] | None:
+    """Where the raw text of a ``script`` or ``style`` element that starts at
+    ``pos`` ends, and where its end tag ends; None when either is missing."""
+    end_tag = "</" + name
+    while (close := page.find("<", pos)) >= 0:
+        pos = close + len(end_tag)
+        if page[close:pos].lower() == end_tag and page[pos:pos + 1] in _END_TAG_NAME_ENDS:
+            end = page.find(">", pos)
+            return None if end < 0 else (close, end + 1)
+        pos = close + 1
+    return None
 
-    Raises _TweetTextFound once the first ``tweet-text`` element closes
-    with non-whitespace text, because that element outranks every later
-    strategy.
+
+def _scan(page: str, tweet_id: int | None) -> tuple[str, str | None, list[str]]:
+    """Read ``page`` once, front to back, stopping at the end of the first
+    ``tweet-text`` element that holds non-whitespace text.
+
+    Returns that element's text, the description meta (``og:description``
+    before ``description``) and the JSON-LD blocks read.
     """
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.tweet_text_parts: list[str] = []
-        self.og_description: str | None = None
-        self.meta_description: str | None = None
-        self.json_ld_blocks: list[str] = []
-        self._capture_stack: list[str] = []
-        self._capture_done = False
-        self._skip_data_depth = 0
-        self._in_json_ld = False
-        self._json_ld_parts: list[str] = []
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attr_map = {name: (value or "") for name, value in attrs}
-        if tag == "meta":
-            content = attr_map.get("content")
-            if content is not None:
-                if attr_map.get("property") == "og:description" and self.og_description is None:
-                    self.og_description = content
-                if attr_map.get("name") == "description" and self.meta_description is None:
-                    self.meta_description = content
-        if tag == "script" and attr_map.get("type") == "application/ld+json":
-            self._in_json_ld = True
-            self._json_ld_parts = []
-        if self._capture_stack:
-            if tag in ("script", "style"):
-                self._skip_data_depth += 1
-            elif tag == "br":
-                self.tweet_text_parts.append(" ")
-            if tag not in _VOID_TAGS:
-                self._capture_stack.append(tag)
-            return
-        if (
-            not self._capture_done
-            and "tweet-text" in attr_map.get("class", "").split()
-            and tag not in _VOID_TAGS
-        ):
-            self._capture_stack.append(tag)
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag == "script":
-            if self._in_json_ld:
-                self._in_json_ld = False
-                self.json_ld_blocks.append("".join(self._json_ld_parts))
-            if self._skip_data_depth:
-                self._skip_data_depth -= 1
-        elif tag == "style" and self._skip_data_depth:
-            self._skip_data_depth -= 1
-        if self._capture_stack and tag in self._capture_stack:
-            while self._capture_stack and self._capture_stack.pop() != tag:
-                pass
-            if not self._capture_stack:
-                self._capture_done = True
-                if collapse_whitespace("".join(self.tweet_text_parts)):
-                    raise _TweetTextFound
-
-    def handle_data(self, data: str) -> None:
-        if self._in_json_ld:
-            self._json_ld_parts.append(data)
-        if self._capture_stack and not self._skip_data_depth:
-            self.tweet_text_parts.append(data)
-
-    def parse_marked_section(self, i: int, report: int = 1) -> int:
-        # Python 3.10 to 3.13.0 at least raise AssertionError on a "<![" section
-        # with an unknown keyword, such as "<![foo bar]>"; later versions read it
-        # as a bogus comment. Skip it to its ">" on every version, as they do.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            end = self.rawdata.find(">", i + 3)
-            return -1 if end < 0 else end + 1
+    og_description = description = None
+    json_ld_blocks: list[str] = []
+    own_id = None if tweet_id is None else str(tweet_id)
+    parts: list[str] = []
+    # The element read into (the first tweet-text element) or past (one
+    # naming another tweet), as [name, open namesakes]; it ends at the end
+    # tag that closes its last open namesake.
+    held: list | None = None
+    capturing = done = False
+    find, match = page.find, _TOKEN_RE.match
+    pos = 0
+    while True:
+        lt = find("<", pos)
+        if capturing and lt != pos:
+            parts.append(unescape(page[pos:] if lt < 0 else page[pos:lt]))
+        if lt < 0:
+            break
+        token = match(page, lt)
+        if token is None:
+            if not page.startswith("<!--", lt) or (end := find("-->", lt + 4)) < 0:
+                break
+            pos = end + 3
+            continue
+        pos = token.end()
+        kind = token.lastindex
+        if kind == 5:
+            name, raw, slash = token.group(1, 2, 5)
+            name = name.lower()
+            attrs = (
+                _attributes(raw)
+                if "&" in raw or "tweet-text" in raw
+                or (name == "meta" and "description" in raw)
+                or (name == "script" and "ld+json" in raw)
+                or (own_id is not None and held is None and not done
+                    and "data-tweet-id" in raw.lower())
+                else {}
+            )
+            if name == "meta" and "content" in attrs:
+                if attrs.get("property") == "og:description" and og_description is None:
+                    og_description = attrs["content"]
+                if attrs.get("name") == "description" and description is None:
+                    description = attrs["content"]
+            if held is not None:
+                if capturing and name == "br":
+                    parts.append(" ")
+                elif name == held[0]:
+                    held[1] += 1
+            elif attrs and not done and name not in _VOID_TAGS:
+                if own_id is not None and attrs.get("data-tweet-id", own_id) != own_id:
+                    held = [name, 1]
+                elif "tweet-text" in attrs.get("class", "").split():
+                    held, capturing = [name, 1], True
+            if name in ("script", "style") and not slash:
+                span = _raw_text_end(page, pos, name)
+                if span is None:
+                    break
+                if name == "script" and attrs.get("type") == "application/ld+json":
+                    json_ld_blocks.append(page[pos:span[0]])
+                pos = span[1]
+            elif not slash:
+                continue
+            # A script or style element, or a tag written "<…/>", ends here.
+        elif kind == 6 and held is not None:
+            name = token.group(6).lower()
+        else:
+            if pos == lt + 1 and capturing:
+                parts.append("<")
+            continue
+        if held is not None and name == held[0]:
+            held[1] -= 1
+            if not held[1]:
+                held = None
+                if capturing:
+                    capturing, done = False, True
+                    if "".join(parts).strip():
+                        break
+    meta = og_description if og_description is not None else description
+    return "".join(parts), meta, json_ld_blocks
 
 
 def collapse_whitespace(text: str) -> str:
@@ -231,7 +286,9 @@ def _find_string_field(node: object, key: str) -> str | None:
     return None
 
 
-def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
+def extract_archived_text(
+    html: str, tweet_id: int | None = None
+) -> tuple[str, ExtractionMethod]:
     """Extract the tweet text from replayed HTML.
 
     Strategies, in fixed order: the first ``tweet-text`` element, then the
@@ -239,29 +296,24 @@ def extract_archived_text(html: str) -> tuple[str, ExtractionMethod]:
     that yields only whitespace does not count as a success. Raises
     NoTweetTextFound when every strategy comes up empty.
 
-    Markup the parser gives up on ends the scan; what was read before it
-    still counts.
-    """
-    scan = _PageScan()
-    try:
-        scan.feed(html)
-        scan.close()
-    except (_TweetTextFound, AssertionError):
-        # AssertionError is html.parser's own error for markup it cannot
-        # parse; _PageScan.parse_marked_section skips the one case known.
-        pass
+    Given ``tweet_id``, a ``tweet-text`` element inside an element whose
+    ``data-tweet-id`` names another tweet does not count: it is another
+    tweet of a thread or timeline.
 
-    text = collapse_whitespace("".join(scan.tweet_text_parts))
+    An unterminated tag, comment or script ends the page; what was read
+    before it still counts.
+    """
+    tweet_text, meta, json_ld_blocks = _scan(html, tweet_id)
+    text = collapse_whitespace(tweet_text)
     if text:
         return text, ExtractionMethod.TWEET_TEXT_ELEMENT
 
-    meta = scan.og_description if scan.og_description is not None else scan.meta_description
     if meta is not None:
         text = collapse_whitespace(_strip_surrounding_quotes(meta))
         if text:
             return text, ExtractionMethod.META_DESCRIPTION
 
-    json_ld = _json_ld_text(scan.json_ld_blocks)
+    json_ld = _json_ld_text(json_ld_blocks)
     if json_ld is not None:
         text = collapse_whitespace(json_ld)
         if text:
@@ -314,7 +366,7 @@ def resolve_candidate(ref: CandidateRef, transport: HttpTransport) -> CandidateT
     if isinstance(fetched, ReplayFailure):
         return fetched
     try:
-        text, method = extract_archived_text(fetched)
+        text, method = extract_archived_text(fetched, ref.tweet_id)
     except NoTweetTextFound:
         return ReplayFailure(ref=ref, reason=FailureReason.NO_TWEET_TEXT)
     return CandidateTweet(ref=ref, extracted_text=text, extraction_method=method)

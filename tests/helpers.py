@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from html.parser import HTMLParser
 from itertools import combinations
 from pathlib import Path
 
@@ -16,6 +17,14 @@ from tweetback.evaluation import EVALUATION_THRESHOLDS, FIXTURES_SUBDIR, OCR_SUB
 from tweetback.matching import normalize
 from tweetback.ocr import load_text_document
 from tweetback.pipeline import PipelineConfig, run_pipeline
+from tweetback.replay import (
+    ExtractionMethod,
+    NoTweetTextFound,
+    _VOID_TAGS,
+    _json_ld_text,
+    _strip_surrounding_quotes,
+    collapse_whitespace,
+)
 from tweetback.transport import (
     FixtureMissingError,
     FixtureTransport,
@@ -173,9 +182,127 @@ def jsonld_tweet_html(text: str) -> str:
     )
 
 
-# A malformed marked section: html.parser raises AssertionError on it in
-# Python 3.10 to 3.13.0 at least; later versions read it as a bogus comment.
+def thread_page(*tweets: tuple[int, str]) -> str:
+    """A legacy permalink page of a self-reply thread: each (ID, text) is a
+    ``div.tweet`` carrying ``data-tweet-id``, in page order."""
+    items = "".join(
+        f'<div class="tweet js-stream-tweet" data-tweet-id="{tweet_id}">'
+        '<div class="js-tweet-text-container">'
+        f'<p class="TweetTextSize js-tweet-text tweet-text" lang="en">{text}</p>'
+        "</div></div>"
+        for tweet_id, text in tweets
+    )
+    return f"<!DOCTYPE html><html><head><title>Thread</title></head><body>{items}</body></html>"
+
+
+# A marked section with an unknown keyword. html.parser raises
+# AssertionError on it in Python 3.10 to 3.13.0 at least, and later versions
+# read it as a bogus comment; the page scanner skips it to its ">".
 MALFORMED_SECTION_PAGE = "<html><body><![foo bar]><p class='tweet-text'>x</p></body></html>"
+
+
+class _ReferenceScan(HTMLParser):
+    """html.parser reading of the three extraction strategies.
+
+    Kept as the reference for ``replay.extract_archived_text`` on
+    well-formed pages: it tracks every open element, where the scanner
+    tracks only those inside a tweet-text element or inside an element
+    naming another tweet, and it reads the whole page.
+    """
+
+    def __init__(self, tweet_id: int | None) -> None:
+        super().__init__(convert_charrefs=True)
+        self.own_id = None if tweet_id is None else str(tweet_id)
+        self.tweet_text_parts: list[str] = []
+        self.og_description: str | None = None
+        self.meta_description: str | None = None
+        self.json_ld_blocks: list[str] = []
+        # (tag, inside an element naming another tweet) per open element
+        self._open: list[tuple[str, bool]] = []
+        self._capture_stack: list[str] = []
+        self._capture_done = False
+        self._skip_data_depth = 0
+        self._in_json_ld = False
+        self._json_ld_parts: list[str] = []
+
+    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+        attr_map = {name: (value or "") for name, value in attrs}
+        foreign = (any(inside for _, inside in self._open)
+                   or (self.own_id is not None
+                       and attr_map.get("data-tweet-id", self.own_id) != self.own_id))
+        if tag not in _VOID_TAGS:
+            self._open.append((tag, foreign))
+        if tag == "meta":
+            content = attr_map.get("content")
+            if content is not None:
+                if attr_map.get("property") == "og:description" and self.og_description is None:
+                    self.og_description = content
+                if attr_map.get("name") == "description" and self.meta_description is None:
+                    self.meta_description = content
+        if tag == "script" and attr_map.get("type") == "application/ld+json":
+            self._in_json_ld = True
+            self._json_ld_parts = []
+        if self._capture_stack:
+            if tag in ("script", "style"):
+                self._skip_data_depth += 1
+            elif tag == "br":
+                self.tweet_text_parts.append(" ")
+            if tag not in _VOID_TAGS:
+                self._capture_stack.append(tag)
+            return
+        if (
+            not self._capture_done
+            and not foreign
+            and "tweet-text" in attr_map.get("class", "").split()
+            and tag not in _VOID_TAGS
+        ):
+            self._capture_stack.append(tag)
+
+    def handle_endtag(self, tag: str) -> None:
+        if any(name == tag for name, _ in self._open):
+            while self._open.pop()[0] != tag:
+                pass
+        if tag == "script":
+            if self._in_json_ld:
+                self._in_json_ld = False
+                self.json_ld_blocks.append("".join(self._json_ld_parts))
+            if self._skip_data_depth:
+                self._skip_data_depth -= 1
+        elif tag == "style" and self._skip_data_depth:
+            self._skip_data_depth -= 1
+        if self._capture_stack and tag in self._capture_stack:
+            while self._capture_stack and self._capture_stack.pop() != tag:
+                pass
+            if not self._capture_stack:
+                self._capture_done = True
+
+    def handle_data(self, data: str) -> None:
+        if self._in_json_ld:
+            self._json_ld_parts.append(data)
+        if self._capture_stack and not self._skip_data_depth:
+            self.tweet_text_parts.append(data)
+
+
+def reference_extract(page: str, tweet_id: int | None = None) -> tuple[str, ExtractionMethod]:
+    """``replay.extract_archived_text`` as read through html.parser: the same
+    strategies in the same order, with the same text clean-up."""
+    scan = _ReferenceScan(tweet_id)
+    scan.feed(page)
+    scan.close()
+    text = collapse_whitespace("".join(scan.tweet_text_parts))
+    if text:
+        return text, ExtractionMethod.TWEET_TEXT_ELEMENT
+    meta = scan.og_description if scan.og_description is not None else scan.meta_description
+    if meta is not None:
+        text = collapse_whitespace(_strip_surrounding_quotes(meta))
+        if text:
+            return text, ExtractionMethod.META_DESCRIPTION
+    json_ld = _json_ld_text(scan.json_ld_blocks)
+    if json_ld is not None:
+        text = collapse_whitespace(json_ld)
+        if text:
+            return text, ExtractionMethod.JSON_LD
+    raise NoTweetTextFound("no tweet text in replayed page")
 
 
 def find_string_field_recursive(node: object, key: str) -> str | None:

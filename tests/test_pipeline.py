@@ -408,7 +408,8 @@ class Stub(HttpTransport):
         return HttpResponse(status=status, body=body)
 
 def loaded():
-    watched = ("concurrent.futures", "tweetback.evaluation", "csv", "email.utils")
+    watched = ("concurrent.futures", "tweetback.evaluation", "csv", "email.utils",
+               "html.parser", "_markupbase")
     return [m for m in watched if m in sys.modules and m not in bare]
 
 seen = {"import": loaded()}

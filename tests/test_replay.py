@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import timeit
 from datetime import datetime, timezone
 
 import pytest
@@ -14,6 +15,8 @@ from helpers import (
     jsonld_tweet_html,
     legacy_tweet_html,
     meta_tweet_html,
+    reference_extract,
+    thread_page,
 )
 from tweetback.cdx import CandidateRef
 from tweetback.replay import (
@@ -26,7 +29,7 @@ from tweetback.replay import (
     fetch_replay,
     resolve_candidate,
 )
-from tweetback.replay import _find_string_field, _PageScan, _TweetTextFound
+from tweetback.replay import _find_string_field
 from tweetback.transport import FixtureMissingError, HttpResponse, NetworkError
 
 REF = CandidateRef(
@@ -215,13 +218,17 @@ class TestEarlyExit:
         assert extract_archived_text(html) == ("first", ExtractionMethod.TWEET_TEXT_ELEMENT)
 
     def test_scan_stops_when_element_closes(self):
-        scan = _PageScan()
-        with pytest.raises(_TweetTextFound):
-            scan.feed(
-                '<p class="tweet-text">found</p>'
-                '<meta property="og:description" content="never read">'
-            )
-        assert scan.og_description is None
+        # The tail alone must be read to its end, so a page that costs a
+        # small fraction of it never read the tail behind its first element.
+        tail = '<meta property="og:description" content="never read">' * 5000
+        page = '<p class="tweet-text">found</p>' + tail
+        assert extract_archived_text(tail) == ("never read", ExtractionMethod.META_DESCRIPTION)
+        assert extract_archived_text(page) == ("found", ExtractionMethod.TWEET_TEXT_ELEMENT)
+
+        def seconds(html):
+            return min(timeit.repeat(lambda: extract_archived_text(html), number=1, repeat=5))
+
+        assert seconds(page) * 20 < seconds(tail)
 
     def test_unclosed_element_on_truncated_page(self):
         html = (
@@ -244,18 +251,110 @@ class TestEarlyExit:
         )
 
 
-class TestParserGivesUp:
+class TestUnknownMarkedSectionSkipped:
     def test_malformed_marked_section_is_not_a_crash(self):
         assert extract_archived_text(MALFORMED_SECTION_PAGE) == (
             "x", ExtractionMethod.TWEET_TEXT_ELEMENT
         )
 
-    def test_text_read_before_the_parser_gave_up_counts(self):
+    def test_description_before_the_section_still_wins(self):
         html = (
             '<html><head><meta property="og:description" content="“read first”">'
             "</head><body><![foo bar]><p>later</p></body></html>"
         )
         assert extract_archived_text(html) == ("read first", ExtractionMethod.META_DESCRIPTION)
+
+
+class TestEvidenceIsTheNamedTweet:
+    # Tweet 100 opens a self-reply thread and tweet 200 answers it; on 200's
+    # permalink page the ancestor comes first.
+    PAGE = thread_page((100, "the ancestor tweet"), (200, "the permalink tweet"))
+
+    @pytest.mark.parametrize("tweet_id, text", [
+        (200, "the permalink tweet"),
+        (100, "the ancestor tweet"),
+    ])
+    def test_thread_page_reads_the_candidates_own_tweet(self, tweet_id, text):
+        ref = CandidateRef(replay_url=REF.replay_url, tweet_id=tweet_id,
+                           archived_at=REF.archived_at)
+        transport = StubTransport().add(ref.raw_replay_url, body=self.PAGE)
+        outcome = resolve_candidate(ref, transport)
+        assert (outcome.extracted_text, outcome.extraction_method) == (
+            text, ExtractionMethod.TWEET_TEXT_ELEMENT
+        )
+
+    def test_without_an_id_the_first_element_wins(self):
+        assert extract_archived_text(self.PAGE)[0] == "the ancestor tweet"
+
+    def test_page_naming_only_other_tweets_falls_through(self):
+        page = thread_page((100, "another tweet")) + meta_tweet_html("meta text")
+        assert extract_archived_text(page, 200) == ("meta text", ExtractionMethod.META_DESCRIPTION)
+
+    def test_element_after_another_tweets_closes_counts(self):
+        page = (
+            '<div data-tweet-id="100"><div><p class="tweet-text">other</p></div>'
+            '<div class="tweet-text">other too</div></div>'
+            '<p class="tweet-text">unmarked</p>'
+        )
+        assert extract_archived_text(page, 200)[0] == "unmarked"
+
+
+# Well-formed page fragments on which html.parser reads the same on every
+# Python that pyproject.toml accepts: no "<![", no unclosed comment, quote
+# or tag, no markup inside a title.
+_PAGE_TEXT = st.sampled_from([
+    "vote", "  today ", "salt &amp; pepper", "&lt;b&gt; not a tag", "it&#39;s",
+    "\n", "caf&eacute;", "&#x1F600;", "a&nbsp;b", "R&amp;D", "1 &gt; 0", "1 < 2",
+])
+_PAGE_LEAF = _PAGE_TEXT | st.sampled_from([
+    "<br>", "<br/>", '<img src="x.png" alt="a &quot;b&quot;">', "<span/>",
+    '<img class="tweet-text" src="t.png">',
+    '<p class="tweet-text"/>', "<!-- a comment -->", "<!---->",
+    '<script>var s = "<p class=tweet-text>x";</script>',
+    "<style>p { color: red }</style>", "<SCRIPT>if (a < b) {}</SCRIPT>",
+    '<script type="application/ld+json">{"articleBody": "ld text"}</script>',
+    '<script type="application/ld+json">{"text": "ld &amp; raw"}</script>',
+    '<meta property="og:description" content="&ldquo;og text&rdquo;">',
+    '<meta name="description" content="plain text"/>',
+    "<meta name='description' content='   '>",
+    '<meta property="og:title" content="not a description">',
+])
+_PAGE_TAGS = st.sampled_from(["div", "p", "span", "a", "b", "li", "DIV"])
+_PAGE_ATTRS = st.lists(st.sampled_from([
+    ' class="tweet-text"', " class='js-tweet-text tweet-text'", ' class="tweet-text-container"',
+    ' CLASS="tweet-text"', ' class = "tweet&#45;text"', ' class="x"', " class=tweet-text",
+    ' data-tweet-id="100"', " data-tweet-id='200'", ' title="1 > 0"', " hidden",
+    ' href="/a?b=1&amp;c=2"', ' class="x" class="tweet-text"',
+]), max_size=2).map("".join)
+
+
+def _page_elements(children):
+    return st.builds(
+        lambda tag, attrs, inner: f"<{tag}{attrs}>{''.join(inner)}</{tag}>",
+        _PAGE_TAGS, _PAGE_ATTRS, st.lists(children, max_size=4),
+    )
+
+
+_PAGES = st.builds(
+    lambda doctype, body: doctype + "".join(body),
+    st.sampled_from(["", "<!DOCTYPE html>"]),
+    st.lists(st.recursive(_PAGE_LEAF, _page_elements, max_leaves=12), max_size=5),
+)
+
+
+def _outcome(extract, page, tweet_id):
+    try:
+        return extract(page, tweet_id)
+    except NoTweetTextFound:
+        return None
+
+
+@settings(max_examples=300)
+@given(_PAGES, st.sampled_from([None, 100, 200]))
+def test_scan_reads_well_formed_pages_as_html_parser_does(page, tweet_id):
+    assert _outcome(extract_archived_text, page, tweet_id) == _outcome(
+        reference_extract, page, tweet_id
+    )
 
 
 class TestFetchReplay:
@@ -445,6 +544,21 @@ _HOSTILE_BODY = st.lists(
 
 TARGET = "https://web.archive.org/web/20220509011258id_/https://twitter.com/x/status/1"
 
+# Bodies of 200 KB or more that cost html.parser, or a careless scanner,
+# quadratic time: unterminated tags, comments and scripts, and elements
+# nested without end.
+_HOSTILE_LARGE = {
+    "open-quote": '<a b="' * 40_000,
+    "quote-in-name": '<a"' * 70_000,
+    "open-comment": "<!--" * 50_000,
+    "script-near-misses": "<script>" + "</scrip" * 30_000,
+    "deep-tweet-text": '<p class="tweet-text">' + "<b>x" * 50_000,
+    "deep-unmatched-ends": '<p class="tweet-text">' + "<b>" * 35_000 + "</i>" * 35_000,
+    "open-end-tag": "</a" * 70_000,
+    "unquoted-values": "<a b=" * 40_000,
+}
+
+
 
 class TestHostileResponses:
     # 500 examples: at 100, about a third of seeds missed the "<![" crash.
@@ -455,6 +569,15 @@ class TestHostileResponses:
         outcome = resolve_candidate(REF, transport)
         assert isinstance(outcome, (CandidateTweet, ReplayFailure))
         assert outcome.ref is REF
+
+    @pytest.mark.parametrize("body", _HOSTILE_LARGE.values(), ids=_HOSTILE_LARGE.keys())
+    def test_large_hostile_page_reads_in_linear_time(self, body):
+        assert len(body) >= 200_000
+        transport = StubTransport().add(REF.raw_replay_url, body=body)
+        outcomes = []
+        seconds = timeit.timeit(lambda: outcomes.append(resolve_candidate(REF, transport)), number=1)
+        assert seconds < 1.0
+        assert isinstance(outcomes[0], (CandidateTweet, ReplayFailure))
 
     @given(
         status=st.sampled_from([301, 302, 303, 307, 308]),
