@@ -150,12 +150,9 @@ def _raw_text_end(page: str, pos: int, name: str) -> tuple[int, int] | None:
 
 
 def _scan(page: str, tweet_id: int | None) -> tuple[str, str | None, list[str]]:
-    """Read ``page`` once, front to back, stopping at the end of the first
-    ``tweet-text`` element that holds non-whitespace text.
-
-    Returns that element's text, the description meta (``og:description``
-    before ``description``) and the JSON-LD blocks read.
-    """
+    """Read ``page`` once, front to back, up to the end of the first non-empty
+    ``tweet-text`` element; return that element's text, the description meta
+    (``og:description`` first) and the JSON-LD blocks."""
     og_description = description = None
     json_ld_blocks: list[str] = []
     own_id = None if tweet_id is None else str(tweet_id)
@@ -184,15 +181,12 @@ def _scan(page: str, tweet_id: int | None) -> tuple[str, str | None, list[str]]:
         if kind == 5:
             name, raw, slash = token.group(1, 2, 5)
             name = name.lower()
-            attrs = (
-                _attributes(raw)
-                if "&" in raw or "tweet-text" in raw
-                or (name == "meta" and "description" in raw)
-                or (name == "script" and "ld+json" in raw)
-                or (own_id is not None and held is None and not done
-                    and "data-tweet-id" in raw.lower())
-                else {}
-            )
+            wanted = ("&" in raw or "tweet-text" in raw
+                      or (name == "meta" and "description" in raw)
+                      or (name == "script" and "ld+json" in raw)
+                      or (own_id is not None and held is None and not done
+                          and "data-tweet-id" in raw.lower()))
+            attrs = _attributes(raw) if wanted else {}
             if name == "meta" and "content" in attrs:
                 if attrs.get("property") == "og:description" and og_description is None:
                     og_description = attrs["content"]
