@@ -205,9 +205,9 @@ class _ReferenceScan(HTMLParser):
     """html.parser reading of the three extraction strategies.
 
     Kept as the reference for ``replay.extract_archived_text`` on
-    well-formed pages: it tracks every open element, where the scanner
-    tracks only those inside a tweet-text element or inside an element
-    naming another tweet, and it reads the whole page.
+    well-formed pages: it keeps every open element on a stack, where the
+    scanner counts only the namesakes of the one element it reads into or
+    past, and it reads the whole page.
     """
 
     def __init__(self, tweet_id: int | None) -> None:
