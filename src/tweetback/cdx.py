@@ -11,10 +11,10 @@ the range, since the prefix admits more IDs and a capture may be taken
 long after the tweet was posted. The server collapses the rows to one per
 urlkey, so it sends only the row that dedup keeps.
 
-Each capture has two replay URLs, both built here: the plain one, which
-the report cites for a human to open, and the raw ``id_`` one, which is
-fetched, because it serves the capture as recorded, without the
-archive's toolbar and rewritten links.
+A candidate is its CDX row plus its tweet ID, and its two replay URLs
+derive from the row: the plain one, which the report cites for a human
+to open, and the raw ``id_`` one, which is fetched, because it serves the
+capture as recorded, without the archive's toolbar and rewritten links.
 """
 
 from __future__ import annotations
@@ -70,43 +70,37 @@ class CdxRecord:
     """The two fields read from one row of the CDX index: the capture
     timestamp and the original URL.
 
-    The capture timestamp is parsed once, on construction; a malformed
-    one raises ValueError.
+    A malformed capture timestamp raises ValueError on construction.
     """
 
     timestamp14: str
     original_url: str
-    archived_at: datetime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        archived_at = _parse_timestamp14(self.timestamp14)
-        if archived_at is None:
+        if _parse_timestamp14(self.timestamp14) is None:
             raise ValueError(f"bad capture timestamp {self.timestamp14!r}")
-        object.__setattr__(self, "archived_at", archived_at)
 
-
-def build_replay_url(timestamp14: str, original_url: str, raw: bool = False) -> str:
-    """The replay URL of one capture: plain, or raw (``id_``) when ``raw``."""
-    flag = "id_" if raw else ""
-    return f"{REPLAY_BASE}{timestamp14}{flag}/{original_url}"
+    @property
+    def archived_at(self) -> datetime:
+        """The capture time, in UTC."""
+        return _parse_timestamp14(self.timestamp14)
 
 
 @dataclass(frozen=True)
-class CandidateRef:
-    """An archived capture of a status URL whose tweet ID fits the window.
+class CandidateRef(CdxRecord):
+    """A capture of a status URL whose tweet ID fits the window."""
 
-    ``replay_url`` is the plain form of build_replay_url.
-    """
-
-    replay_url: str
     tweet_id: int
-    archived_at: datetime
+
+    @property
+    def replay_url(self) -> str:
+        """The plain replay URL, the one a report cites."""
+        return f"{REPLAY_BASE}{self.timestamp14}/{self.original_url}"
 
     @property
     def raw_replay_url(self) -> str:
-        """The ``id_`` form of ``replay_url``, the one that is fetched."""
-        timestamp14, _, original_url = self.replay_url[len(REPLAY_BASE):].partition("/")
-        return build_replay_url(timestamp14, original_url, raw=True)
+        """The raw ``id_`` replay URL, the one that is fetched."""
+        return f"{REPLAY_BASE}{self.timestamp14}id_/{self.original_url}"
 
 
 def build_window(ts: ScreenshotTimestamp) -> ArchiveWindow:
@@ -221,13 +215,7 @@ def filter_by_window(
             continue
         if not window.low_id <= tweet_id <= window.high_id:
             continue
-        candidates.append(
-            CandidateRef(
-                replay_url=build_replay_url(record.timestamp14, record.original_url),
-                tweet_id=tweet_id,
-                archived_at=record.archived_at,
-            )
-        )
+        candidates.append(CandidateRef(record.timestamp14, record.original_url, tweet_id))
     return candidates, warnings
 
 

@@ -175,7 +175,8 @@ def score_verification(
 
 
 def load_ground_truth(csv_path: str | Path) -> dict[str, GroundTruthRecord]:
-    """Parse the ground-truth CSV into records keyed by source_id."""
+    """Parse the ground-truth CSV into records keyed by source_id; a missing
+    column or a source_id labelled twice raises ValueError."""
     records: dict[str, GroundTruthRecord] = {}
     with open(csv_path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -197,6 +198,8 @@ def load_ground_truth(csv_path: str | Path) -> dict[str, GroundTruthRecord]:
                     int(row["expected_tweet_id"]) if row["expected_tweet_id"] else None
                 ),
             )
+            if record.source_id in records:
+                raise ValueError(f"{csv_path}: source_id {record.source_id!r} labelled twice")
             records[record.source_id] = record
     return records
 

@@ -187,34 +187,31 @@ def extract_timestamp(doc: OcrDocument) -> ScreenshotTimestamp | None:
     A match must span at least 6 characters (separators included), contain
     at least 4 digits, and name a calendar-valid date between Twitter's
     founding year and today. Relative stamps ("1d", "3h") never qualify.
+    Lines are read from the bottom and a line's matches from the right; of
+    two matches at one start, the earlier pattern's goes first.
     """
-    best: ScreenshotTimestamp | None = None
-    best_position = (-1, -1)
-    for index, line in enumerate(doc.lines):
-        for pattern in _DATE_PATTERNS:
-            for match in pattern.finditer(line):
-                text = match.group(0)
-                if len(text) < 6 or sum(c.isdigit() for c in text) < 4:
-                    continue
-                position = (index, match.start())
-                if position <= best_position:
-                    continue
-                year, month, day = _date_fields(match)
-                tod = _adjacent_time(line, match.start(), match.end())
-                try:
-                    best = ScreenshotTimestamp(
-                        year=year,
-                        month=month,
-                        day=day,
-                        hour=tod[0] if tod else 0,
-                        minute=tod[1] if tod else 0,
-                        has_time_of_day=tod is not None,
-                        source_line_index=index,
-                    )
-                except ValueError:
-                    continue
-                best_position = position
-    return best
+    for index in reversed(range(len(doc.lines))):
+        line = doc.lines[index]
+        matches = [match for pattern in _DATE_PATTERNS for match in pattern.finditer(line)]
+        for match in sorted(matches, key=re.Match.start, reverse=True):
+            text = match.group(0)
+            if len(text) < 6 or sum(c.isdigit() for c in text) < 4:
+                continue
+            year, month, day = _date_fields(match)
+            tod = _adjacent_time(line, match.start(), match.end())
+            try:
+                return ScreenshotTimestamp(
+                    year=year,
+                    month=month,
+                    day=day,
+                    hour=tod[0] if tod else 0,
+                    minute=tod[1] if tod else 0,
+                    has_time_of_day=tod is not None,
+                    source_line_index=index,
+                )
+            except ValueError:
+                continue
+    return None
 
 
 def extract_handle(doc: OcrDocument) -> ExtractedHandle | None:

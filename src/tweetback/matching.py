@@ -143,9 +143,10 @@ class Verdict:
 
 
 def _rank(result: MatchResult) -> tuple:
-    """Best first: highest score, then earliest capture, then replay URL."""
+    """Best first: highest score, then earliest capture (fixed-width UTC
+    digits sort as the times they name), then original URL."""
     ref = result.candidate.ref
-    return -result.score, ref.archived_at, ref.replay_url
+    return -result.score, ref.timestamp14, ref.original_url
 
 
 def score_candidates(

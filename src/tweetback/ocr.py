@@ -70,11 +70,12 @@ class OcrServiceConfig:
 
 
 def load_text_document(path: str | Path) -> OcrDocument:
-    """Read a UTF-8 text file as an OcrDocument, one line per physical line."""
+    """Read a UTF-8 text file, less any byte-order mark, as an OcrDocument,
+    one line per physical line."""
     path = Path(path)
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise InvalidEncodingError(f"{path} is not valid UTF-8: {err}") from err
     return OcrDocument(source_id=str(path), lines=tuple(text.splitlines()))

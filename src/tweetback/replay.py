@@ -8,9 +8,9 @@ extractor tries exactly those three strategies, in that order. Pages
 that would need script execution to render fall out as failures, which
 is the same bucket as captures that never replay at all.
 
-Replays are fetched in the raw ``id_`` form (see cdx.build_replay_url),
-which carries no toolbar and no rewritten links; results cite the plain
-replay URL.
+Replays are fetched in the raw ``id_`` form (see
+``cdx.CandidateRef.raw_replay_url``), which carries no toolbar and no
+rewritten links; results cite the plain replay URL.
 
 Archived pages are frequently truncated or malformed, so they are read
 in one forward pass by a small scanner, not by a parser that builds a

@@ -252,7 +252,8 @@ def _parse_retry_after(value: str | None) -> float | None:
 
 
 class FixtureTransport(HttpTransport):
-    """Replays responses recorded under a fixture directory."""
+    """Replays responses recorded under a fixture directory. A body without
+    its manifest entry, as an interrupted recording leaves, is missing."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -261,13 +262,13 @@ class FixtureTransport(HttpTransport):
     def get(self, url: str) -> HttpResponse:
         key = fixture_key(url)
         body_path = self.directory / f"{key}.body"
-        if not body_path.exists():
+        entry = self._manifest.get(key)
+        if entry is None or not body_path.exists():
             raise FixtureMissingError(url, self.directory)
-        entry = self._manifest.get(key, {})
         return HttpResponse(
-            status=int(entry.get("status", 200)),
+            status=int(entry["status"]),
             body=body_path.read_text(encoding="utf-8"),
-            headers=dict(entry.get("headers", {})),
+            headers=dict(entry["headers"]),
         )
 
 

@@ -12,10 +12,15 @@ from itertools import combinations
 from pathlib import Path
 
 import tweetback
-from tweetback.cdx import build_replay_url
 from tweetback.evaluation import EVALUATION_THRESHOLDS, FIXTURES_SUBDIR, OCR_SUBDIR
+from tweetback.extraction import (
+    ScreenshotTimestamp,
+    _DATE_PATTERNS,
+    _adjacent_time,
+    _date_fields,
+)
 from tweetback.matching import normalize
-from tweetback.ocr import load_text_document
+from tweetback.ocr import OcrDocument, load_text_document
 from tweetback.pipeline import PipelineConfig, run_pipeline
 from tweetback.replay import (
     ExtractionMethod,
@@ -146,12 +151,12 @@ def collapse_by_urlkey(lines: list[str]) -> list[str]:
 
 def replay_url(handle: str, tweet_id: int | str, capture_ts14: str) -> str:
     """The plain replay URL a report cites."""
-    return build_replay_url(capture_ts14, status_url(handle, tweet_id))
+    return f"https://web.archive.org/web/{capture_ts14}/{status_url(handle, tweet_id)}"
 
 
 def raw_replay_url(handle: str, tweet_id: int | str, capture_ts14: str) -> str:
     """The raw (``id_``) replay URL the pipeline fetches."""
-    return build_replay_url(capture_ts14, status_url(handle, tweet_id), raw=True)
+    return f"https://web.archive.org/web/{capture_ts14}id_/{status_url(handle, tweet_id)}"
 
 
 def legacy_tweet_html(text: str) -> str:
@@ -384,3 +389,36 @@ def chunk_scores_reference(screenshot_text: str, candidate_text: str) -> tuple[f
         if score > best_score:
             best_score, best_chunk = score, k
     return best_score, best_chunk
+
+
+def extract_timestamp_reference(doc: OcrDocument) -> ScreenshotTimestamp | None:
+    """Reference for ``extraction.extract_timestamp``: scan every line top
+    down, every pattern in order, and keep the valid match at the greatest
+    (line, start), the first one found at that position."""
+    best: ScreenshotTimestamp | None = None
+    best_position = (-1, -1)
+    for index, line in enumerate(doc.lines):
+        for pattern in _DATE_PATTERNS:
+            for match in pattern.finditer(line):
+                text = match.group(0)
+                if len(text) < 6 or sum(c.isdigit() for c in text) < 4:
+                    continue
+                position = (index, match.start())
+                if position <= best_position:
+                    continue
+                year, month, day = _date_fields(match)
+                tod = _adjacent_time(line, match.start(), match.end())
+                try:
+                    best = ScreenshotTimestamp(
+                        year=year,
+                        month=month,
+                        day=day,
+                        hour=tod[0] if tod else 0,
+                        minute=tod[1] if tod else 0,
+                        has_time_of_day=tod is not None,
+                        source_line_index=index,
+                    )
+                except ValueError:
+                    continue
+                best_position = position
+    return best

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import StubTransport, cdx_line, collapse_by_urlkey
 from tweetback.cdx import (
     ArchiveWindow,
+    CandidateRef,
     CdxRecord,
     build_cdx_query,
     build_window,
@@ -223,6 +224,28 @@ class TestParseTimestamp14:
     def test_record_rejects_bad_timestamp(self):
         with pytest.raises(ValueError):
             CdxRecord("20221301000000", "u")
+
+
+class TestCandidateRef:
+    def test_urls_and_capture_time_derive_from_the_row(self):
+        ref = CandidateRef(
+            "20220509011257",
+            "https://twitter.com/PamKeithFL/status/1523141006509502470",
+            1523141006509502470,
+        )
+        assert ref.replay_url == (
+            "https://web.archive.org/web/20220509011257/"
+            "https://twitter.com/PamKeithFL/status/1523141006509502470"
+        )
+        assert ref.raw_replay_url == (
+            "https://web.archive.org/web/20220509011257id_/"
+            "https://twitter.com/PamKeithFL/status/1523141006509502470"
+        )
+        assert ref.archived_at.isoformat() == "2022-05-09T01:12:57+00:00"
+
+    def test_rejects_bad_timestamp(self):
+        with pytest.raises(ValueError, match="^bad capture timestamp '20221301000000'$"):
+            CandidateRef("20221301000000", "https://twitter.com/x/status/4194304", 4194304)
 
 
 class TestDedup:

@@ -32,6 +32,16 @@ class TestVerify:
             "/web/20220509011257/https://twitter.com/PamKeithFL/status/1523141006509502470"
         )
 
+    def test_byte_order_mark_before_handle_exits_archived(
+            self, capsys, tmp_path, pam_ocr_path, pam_fixtures_dir):
+        shot = tmp_path / "bom.txt"
+        lines = pam_ocr_path.read_text(encoding="utf-8").splitlines()[1:]
+        shot.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["verify", "--ocr-text", str(shot), "--fixtures", str(pam_fixtures_dir)])
+        assert code == EXIT_ARCHIVED
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["extraction"]["handle"] == "PamKeithFL"
+
     def test_relative_timestamp_exits_not_found(self, capsys, tmp_path):
         shot = tmp_path / "relative.txt"
         shot.write_text("Somebody\n@somebody\nwords words\n1d\n")
@@ -233,6 +243,15 @@ class TestEvaluate:
         assert "verification @ 0.80" in table
         payload = json.loads(out.read_text())
         assert payload["record_count"] == 12
+
+    def test_ground_truth_labelling_a_document_twice_is_error(
+            self, capsys, tmp_path, eval_corpus_dir):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(eval_corpus_dir, corpus)
+        with open(corpus / "ground_truth.csv", "a", encoding="utf-8") as csv_file:
+            csv_file.write("e01_alice_park,alice_park,2022-06-03T08:05,not_archived,\n")
+        assert main(["evaluate", "--corpus", str(corpus)]) == EXIT_ERROR
+        assert "'e01_alice_park' labelled twice" in capsys.readouterr().err
 
     def test_empty_corpus_succeeds(self, capsys, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path)]) == 0

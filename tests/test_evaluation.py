@@ -45,11 +45,7 @@ def fields(handle: str | None = None, ts: datetime | None = None) -> ExtractedFi
 
 
 def archived_verdict(tweet_id: int, threshold=0.80, score=0.95) -> Verdict:
-    ref = CandidateRef(
-        replay_url=f"https://web.archive.org/web/20220509011257/https://twitter.com/x/status/{tweet_id}",
-        tweet_id=tweet_id,
-        archived_at=datetime(2022, 5, 9, tzinfo=UTC),
-    )
+    ref = CandidateRef("20220509011257", f"https://twitter.com/x/status/{tweet_id}", tweet_id)
     candidate = CandidateTweet(
         ref=ref, extracted_text="text", extraction_method=ExtractionMethod.TWEET_TEXT_ELEMENT
     )
@@ -216,6 +212,13 @@ class TestGroundTruthCsv:
         with pytest.raises(ValueError):
             load_ground_truth(path)
 
+    def test_source_labelled_twice_rejected(self, eval_corpus_dir, tmp_path):
+        path = tmp_path / "ground_truth.csv"
+        rows = (eval_corpus_dir / "ground_truth.csv").read_text(encoding="utf-8")
+        path.write_text(rows + "e01_alice_park,alice_park,2022-06-03T08:05,not_archived,\n")
+        with pytest.raises(ValueError, match="'e01_alice_park' labelled twice"):
+            load_ground_truth(path)
+
     def test_archived_truth_requires_id(self):
         with pytest.raises(ValueError):
             truth(state=ArchiveState.ARCHIVED, tweet_id=None)
@@ -287,6 +290,24 @@ class TestRunEvaluation:
         assert report.missing_fixtures == ["e11_jon_metro"]
         assert report.record_count == 11
         assert report.verification[0.80].total == 10
+
+    def test_body_without_manifest_entry_listed_and_skipped(self, eval_corpus_dir, tmp_path):
+        # Replayed with defaults, e06's recorded 404 would read as an HTTP
+        # 200 page with no tweet text: an archival failure reason.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(eval_corpus_dir, corpus)
+        manifest_path = corpus / "fixtures" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        [victim] = [
+            key for key, entry in manifest.items()
+            if entry["status"] == 404 and "farah_updates" in entry["url"]
+        ]
+        del manifest[victim]
+        manifest_path.write_text(json.dumps(manifest))
+        assert (corpus / "fixtures" / f"{victim}.body").exists()
+        report = run_evaluation(corpus)
+        assert report.missing_fixtures == ["e06_farah_updates"]
+        assert report.record_count == 11
 
     def test_missing_ground_truth_listed(self, eval_corpus_dir, tmp_path):
         corpus = tmp_path / "corpus"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import extract_timestamp_reference
 from tweetback.extraction import (
     ExtractedHandle,
     ScreenshotTimestamp,
@@ -121,6 +122,23 @@ class TestTimestamp:
 
     def test_empty_document(self):
         assert extract_timestamp(doc()) is None
+
+    # Dates valid, invalid and out of era in every supported shape, with
+    # their pieces also drawn alone so that neighbours can form new dates.
+    _TOKENS = st.sampled_from([
+        "2022-05-25", "2022-02-30", "2005-01-01", "2099-12-31", "2021-1-2",
+        "05/25/2022", "5/9/2022", "25/05/2022", "13/13/2022",
+        "May 7, 2022", "Jan 2, 2021", "Sept 9, 2022", "Feb 30, 2022",
+        "7 May 2022", "25 Dec, 2020", "31 Jun 2021",
+        "May", "jan.", "December", "7", "25,", "31", "2022", "2019", "2005",
+        "4:08 PM", "11:21 pm", "23:59", "19:08 PM", "7:60", "0:00 a.m.",
+        "·", "-", ",", "1d", "3h", "@x", "likes", "12", "555-1234",
+    ])
+
+    @given(st.lists(st.lists(_TOKENS, max_size=8).map(" ".join), max_size=6))
+    def test_matches_top_down_reference(self, lines):
+        document = doc(*lines)
+        assert extract_timestamp(document) == extract_timestamp_reference(document)
 
 
 class TestHandle:

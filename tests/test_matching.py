@@ -25,11 +25,7 @@ from tweetback.replay import CandidateTweet, ExtractionMethod, FailureReason, Re
 
 def make_candidate(text: str, tweet_id: int = 1523141006509502470,
                    ts14: str = "20220509011257") -> CandidateTweet:
-    ref = CandidateRef(
-        replay_url=f"https://web.archive.org/web/{ts14}/https://twitter.com/x/status/{tweet_id}",
-        tweet_id=tweet_id,
-        archived_at=datetime.strptime(ts14, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc),
-    )
+    ref = CandidateRef(ts14, f"https://twitter.com/x/status/{tweet_id}", tweet_id)
     return CandidateTweet(
         ref=ref, extracted_text=text,
         extraction_method=ExtractionMethod.TWEET_TEXT_ELEMENT,
@@ -38,9 +34,7 @@ def make_candidate(text: str, tweet_id: int = 1523141006509502470,
 
 def make_failure(reason=FailureReason.HTTP_ERROR) -> ReplayFailure:
     ref = CandidateRef(
-        replay_url="https://web.archive.org/web/20220509011257/https://twitter.com/x/status/9999999999999999",
-        tweet_id=9999999999999999,
-        archived_at=datetime(2022, 5, 9, tzinfo=timezone.utc),
+        "20220509011257", "https://twitter.com/x/status/9999999999999999", 9999999999999999
     )
     return ReplayFailure(ref=ref, reason=reason)
 
@@ -265,3 +259,43 @@ class TestDecide:
             if decide(shot, [make_candidate(cand)], [], 0.9).kind is VerdictKind.ARCHIVED:
                 archived_90.add(i)
         assert archived_90 <= archived_80
+
+
+class TestRankOrder:
+    # Few distinct stamps, schemes, handles, IDs and scores, so that ties
+    # on every part of the key come up.
+    _STAMPS = st.one_of(
+        st.sampled_from([datetime(2022, 5, 8, 3, 18, 59), datetime(2022, 5, 9, 1, 12, 57)]),
+        st.datetimes(min_value=datetime(2006, 1, 1), max_value=datetime(2030, 12, 31)),
+    )
+    _URLS = st.builds(
+        "{}://twitter.com/{}/status/{}{}".format,
+        st.sampled_from(["https", "http"]),
+        st.sampled_from(["x", "X", "x_y"]),
+        st.sampled_from([4194304, 4194305, 41943040]),
+        st.sampled_from(["", "?s=20", "/photo/1"]),
+    )
+    _TEXTS = st.sampled_from(["hello world", "hello", "world", "zzzz"])
+
+    @given(st.lists(st.tuples(_STAMPS, _URLS, _TEXTS), max_size=12))
+    def test_orders_as_score_then_capture_time_then_replay_url(self, rows):
+        rows = [(stamp.replace(microsecond=0), url, text) for stamp, url, text in rows]
+        candidates = [
+            CandidateTweet(
+                ref=CandidateRef(f"{stamp:%Y%m%d%H%M%S}", url, 4194304),
+                extracted_text=text, extraction_method=ExtractionMethod.TWEET_TEXT_ELEMENT,
+            )
+            for stamp, url, text in rows
+        ]
+        ranked = score_candidates("hello world", candidates)
+
+        def old_key(row):
+            stamp, url, text = row
+            score = chunk_scores("hello world", text)[0]
+            replay_url = f"https://web.archive.org/web/{stamp:%Y%m%d%H%M%S}/{url}"
+            return -score, stamp.replace(tzinfo=timezone.utc), replay_url
+
+        got = [(r.candidate.ref.timestamp14, r.candidate.ref.original_url,
+                r.candidate.extracted_text) for r in ranked]
+        assert got == [(f"{stamp:%Y%m%d%H%M%S}", url, text)
+                       for stamp, url, text in sorted(rows, key=old_key)]

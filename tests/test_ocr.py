@@ -61,6 +61,19 @@ def test_load_text_document_bad_encoding(tmp_path):
         load_text_document(path)
 
 
+def test_load_text_document_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf@BarackObama\nAs we grieve...")
+    assert load_text_document(path).lines == ("@BarackObama", "As we grieve...")
+
+
+def test_load_text_document_bad_encoding_after_byte_order_mark(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xef\xbb\xbfcaf\xe9")
+    with pytest.raises(InvalidEncodingError):
+        load_text_document(path)
+
+
 def test_load_text_document_deterministic(tmp_path):
     path = tmp_path / "same.txt"
     path.write_text("one\ntwo\nthree", encoding="utf-8")

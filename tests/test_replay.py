@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import timeit
-from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +32,9 @@ from tweetback.replay import _find_string_field
 from tweetback.transport import FixtureMissingError, HttpResponse, NetworkError
 
 REF = CandidateRef(
-    replay_url=(
-        "https://web.archive.org/web/20220509011257/"
-        "https://twitter.com/PamKeithFL/status/1523141006509502470"
-    ),
-    tweet_id=1523141006509502470,
-    archived_at=datetime(2022, 5, 9, 1, 12, 57, tzinfo=timezone.utc),
+    "20220509011257",
+    "https://twitter.com/PamKeithFL/status/1523141006509502470",
+    1523141006509502470,
 )
 
 
@@ -275,8 +271,7 @@ class TestEvidenceIsTheNamedTweet:
         (100, "the ancestor tweet"),
     ])
     def test_thread_page_reads_the_candidates_own_tweet(self, tweet_id, text):
-        ref = CandidateRef(replay_url=REF.replay_url, tweet_id=tweet_id,
-                           archived_at=REF.archived_at)
+        ref = CandidateRef(REF.timestamp14, REF.original_url, tweet_id)
         transport = StubTransport().add(ref.raw_replay_url, body=self.PAGE)
         outcome = resolve_candidate(ref, transport)
         assert (outcome.extracted_text, outcome.extraction_method) == (

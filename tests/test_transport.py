@@ -65,6 +65,13 @@ class TestFixtureRoundTrip:
         with pytest.raises(FixtureMissingError):
             FixtureTransport(tmp_path).get("https://example.test/nothing")
 
+    def test_body_without_manifest_entry_is_missing(self, tmp_path):
+        url = "https://web.archive.org/web/2022/https://twitter.com/a/status/1"
+        _record(tmp_path, url, status=404, body="snapshot not found")
+        (tmp_path / "manifest.json").write_text("{}")
+        with pytest.raises(FixtureMissingError):
+            FixtureTransport(tmp_path).get(url)
+
     def test_manifest_maps_hash_to_url(self, tmp_path):
         url = "https://web.archive.org/web/2022/https://twitter.com/a/status/5"
         _record(tmp_path, url, body="x")
