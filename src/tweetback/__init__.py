@@ -20,7 +20,7 @@ from .matching import (
     normalize,
     overlap_score,
 )
-from .ocr import OcrDocument, OcrServiceConfig, load_text_document, ocr_image
+from .ocr import OcrDocument, load_text_document
 from .pipeline import PipelineConfig, TransportMode, VerdictReport, run_pipeline
 from .replay import (
     CandidateTweet,
@@ -47,7 +47,6 @@ __all__ = [
     "FailureReason",
     "MatchResult",
     "OcrDocument",
-    "OcrServiceConfig",
     "PipelineConfig",
     "ReplayFailure",
     "ScreenshotTimestamp",
@@ -68,7 +67,6 @@ __all__ = [
     "id_to_time",
     "load_text_document",
     "normalize",
-    "ocr_image",
     "overlap_score",
     "run_pipeline",
     "time_to_id_bounds",

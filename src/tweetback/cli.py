@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -19,8 +18,7 @@ from pathlib import Path
 from . import __version__
 from .extraction import extract_fields
 from .matching import VerdictKind
-from .ocr import (MalformedServiceResponseError, OcrServiceConfig, OcrServiceError,
-                  load_text_document, ocr_image)
+from .ocr import load_text_document
 from .pipeline import PipelineConfig, TransportMode, run_pipeline
 from .snowflake import id_to_time
 from .transport import TransportError
@@ -30,8 +28,6 @@ EXIT_NOT_FOUND = 1
 EXIT_NON_REPLAYABLE = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
-
-OCR_TOKEN_ENV = "TWEETBACK_OCR_TOKEN"
 
 _VERDICT_EXIT_CODES = {
     VerdictKind.ARCHIVED: EXIT_ARCHIVED,
@@ -56,7 +52,7 @@ def build_parser() -> _Parser:
 
     defaults = PipelineConfig()
     verify = commands.add_parser("verify", help="verify a screenshot against the Wayback Machine")
-    _add_input_flags(verify)
+    _add_input_flag(verify)
     verify.add_argument("--threshold", type=float, default=defaults.threshold,
                         help="text-overlap score required for a match "
                              f"(default {defaults.threshold:.2f})")
@@ -69,7 +65,7 @@ def build_parser() -> _Parser:
                              f"(default {defaults.top_scores})")
 
     extract = commands.add_parser("extract", help="run field extraction only, print JSON")
-    _add_input_flags(extract)
+    _add_input_flag(extract)
 
     decode = commands.add_parser("decode-id", help="decode a Snowflake tweet ID")
     decode.add_argument("tweet_id", type=int)
@@ -81,23 +77,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--image", metavar="PATH", help="screenshot image to OCR")
-    source.add_argument("--ocr-text", metavar="PATH", help="pre-extracted OCR text file")
-    parser.add_argument("--ocr-endpoint", metavar="URL",
-                        help=f"OCR service endpoint (token via ${OCR_TOKEN_ENV})")
-
-
-def _load_document(args: argparse.Namespace):
-    if args.ocr_text:
-        return load_text_document(args.ocr_text)
-    if not args.ocr_endpoint:
-        raise UsageError("--image requires --ocr-endpoint")
-    config = OcrServiceConfig(
-        endpoint=args.ocr_endpoint, auth_token=os.environ.get(OCR_TOKEN_ENV)
-    )
-    return ocr_image(Path(args.image).read_bytes(), config)
+def _add_input_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ocr-text", required=True, metavar="PATH",
+                        help="pre-extracted OCR text file")
 
 
 def _transport_mode(args: argparse.Namespace) -> TransportMode:
@@ -109,7 +91,7 @@ def _transport_mode(args: argparse.Namespace) -> TransportMode:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+    doc = load_text_document(args.ocr_text)
     config = PipelineConfig(
         threshold=args.threshold,
         transport_mode=_transport_mode(args),
@@ -124,7 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
+    doc = load_text_document(args.ocr_text)
     payload = {"source_id": doc.source_id, **extract_fields(doc).to_dict()}
     print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
     return 0
@@ -165,11 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TransportError, OcrServiceError, MalformedServiceResponseError,
-            OSError, ValueError) as err:
+    except (TransportError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:  # unforeseen: the traceback is the message

@@ -175,10 +175,11 @@ def score_verification(
 
 
 def load_ground_truth(csv_path: str | Path) -> dict[str, GroundTruthRecord]:
-    """Parse the ground-truth CSV into records keyed by source_id; a missing
-    column or a source_id labelled twice raises ValueError."""
+    """Parse the ground-truth CSV, less any byte-order mark, into records
+    keyed by source_id; a missing column or a source_id labelled twice
+    raises ValueError."""
     records: dict[str, GroundTruthRecord] = {}
-    with open(csv_path, newline="", encoding="utf-8") as handle:
+    with open(csv_path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
@@ -292,8 +293,11 @@ def run_evaluation(corpus_dir: str | Path) -> EvaluationReport:
 
     Records with a missing fixture or missing ground truth are listed on
     the report and excluded from the metrics; the run always continues.
+    A ``corpus_dir`` that is not a directory raises NotADirectoryError.
     """
     corpus_dir = Path(corpus_dir)
+    if not corpus_dir.is_dir():
+        raise NotADirectoryError(f"corpus {corpus_dir} is not a directory")
     truth_path = corpus_dir / GROUND_TRUTH_FILE
     truths = load_ground_truth(truth_path) if truth_path.exists() else {}
     ocr_dir = corpus_dir / OCR_SUBDIR

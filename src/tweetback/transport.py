@@ -101,8 +101,9 @@ class HttpResponse:
 class HttpTransport:
     """Interface shared by live, fixture, and recording transports.
 
-    ``get`` never follows redirects; callers that need redirect handling
-    (replay fetching) implement their own bounded hop loop.
+    ``get`` is the only request a transport sends. It never follows
+    redirects; callers that need redirect handling (replay fetching)
+    implement their own bounded hop loop.
 
     ``paced`` says whether ``get`` waits between requests, as the live
     transport's politeness interval does. Only then does the pipeline put
@@ -115,9 +116,6 @@ class HttpTransport:
     paced = False
 
     def get(self, url: str) -> HttpResponse:
-        raise NotImplementedError
-
-    def post(self, url: str, data: bytes, headers: dict[str, str]) -> HttpResponse:
         raise NotImplementedError
 
 
@@ -177,22 +175,20 @@ class LiveTransport(HttpTransport):
                 slot = self._next_slot[host]
                 self._next_slot[host] = slot + MIN_INTERVAL_S
 
-    def _send(self, method: str, url: str, **kwargs) -> HttpResponse:
-        """Send one request; a 429 with a Retry-After of at most
+    def get(self, url: str) -> HttpResponse:
+        """GET ``url``; a 429 with a Retry-After of at most
         MAX_RETRY_AFTER_S is waited out once, and any other 429 raises."""
-        response = self._send_with_retries(method, url, **kwargs)
+        response = self._send_with_retries(url)
         if response.status == 429:
             retry_after = _parse_retry_after(response.header("Retry-After"))
             if retry_after is None or retry_after > MAX_RETRY_AFTER_S:
                 raise RateLimitedError(url, retry_after)
-            response = self._send_with_retries(method, url, delay=retry_after, **kwargs)
+            response = self._send_with_retries(url, delay=retry_after)
             if response.status == 429:
                 raise RateLimitedError(url, _parse_retry_after(response.header("Retry-After")))
         return response
 
-    def _send_with_retries(
-        self, method: str, url: str, *, delay: float = 0.0, **kwargs
-    ) -> HttpResponse:
+    def _send_with_retries(self, url: str, *, delay: float = 0.0) -> HttpResponse:
         import requests
 
         last_error: Exception | None = None
@@ -203,7 +199,7 @@ class LiveTransport(HttpTransport):
             delay = 0.0
             try:
                 resp = self._session.request(
-                    method, url, timeout=REQUEST_TIMEOUT_S, allow_redirects=False, **kwargs
+                    "GET", url, timeout=REQUEST_TIMEOUT_S, allow_redirects=False
                 )
             except requests.Timeout as err:
                 last_error = NetworkError(f"timeout fetching {url}: {err}", timed_out=True)
@@ -218,12 +214,6 @@ class LiveTransport(HttpTransport):
             )
         assert last_error is not None
         raise last_error
-
-    def get(self, url: str) -> HttpResponse:
-        return self._send("GET", url)
-
-    def post(self, url: str, data: bytes, headers: dict[str, str]) -> HttpResponse:
-        return self._send("POST", url, data=data, headers=headers)
 
 
 def _parse_retry_after(value: str | None) -> float | None:

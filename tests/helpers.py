@@ -48,9 +48,7 @@ class StubTransport(HttpTransport):
     def __init__(self, fallback: HttpResponse | None = None) -> None:
         self.fallback = fallback
         self._get: dict[str, HttpResponse | Exception] = {}
-        self._post: dict[str, HttpResponse | Exception] = {}
         self.get_log: list[str] = []
-        self.post_log: list[tuple[str, bytes, dict]] = []
 
     def add(self, url: str, body: str = "", status: int = 200,
             headers: dict[str, str] | None = None) -> "StubTransport":
@@ -61,24 +59,9 @@ class StubTransport(HttpTransport):
         self._get[url] = error
         return self
 
-    def add_post(self, url: str, body: str = "", status: int = 200) -> "StubTransport":
-        self._post[url] = HttpResponse(status=status, body=body, headers={})
-        return self
-
-    def add_post_error(self, url: str, error: Exception) -> "StubTransport":
-        self._post[url] = error
-        return self
-
     def get(self, url: str) -> HttpResponse:
         self.get_log.append(url)
-        return self._lookup(self._get, url)
-
-    def post(self, url: str, data: bytes, headers: dict[str, str]) -> HttpResponse:
-        self.post_log.append((url, data, headers))
-        return self._lookup(self._post, url)
-
-    def _lookup(self, table: dict, url: str) -> HttpResponse:
-        entry = table.get(url, self.fallback)
+        entry = self._get.get(url, self.fallback)
         if entry is None:
             raise FixtureMissingError(url, Path("<stub>"))
         if isinstance(entry, Exception):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import tweetback.ocr
 from helpers import StubTransport, fresh_interpreter
 from tweetback.cli import (
     EXIT_ARCHIVED,
@@ -75,11 +74,6 @@ class TestVerify:
                      "--fixtures", str(tmp_path)])
         assert code == EXIT_ERROR
 
-    def test_image_without_endpoint_is_usage_error(self, capsys, tmp_path):
-        image = tmp_path / "shot.png"
-        image.write_bytes(b"\x89PNG fake")
-        assert main(["verify", "--image", str(image)]) == EXIT_USAGE
-
     def test_fixtures_and_record_conflict(self, capsys, pam_ocr_path, tmp_path):
         code = main([
             "verify", "--ocr-text", str(pam_ocr_path),
@@ -135,34 +129,6 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: top_scores {top} is negative\n"
-
-    @pytest.mark.parametrize("status, body, message", [
-        (500, "boom", "OCR service returned HTTP 500: boom"),
-        (200, "[]", "OCR response lacks a 'lines' string array"),
-    ])
-    def test_ocr_service_failure_is_error(self, capsys, monkeypatch, tmp_path,
-                                          status, body, message):
-        endpoint = "https://ocr.test/lines"
-        stub = StubTransport().add_post(endpoint, body, status)
-        monkeypatch.setattr(tweetback.ocr, "LiveTransport", lambda: stub)
-        image = tmp_path / "shot.png"
-        image.write_bytes(b"\x89PNG fake")
-        code = main(["verify", "--image", str(image), "--ocr-endpoint", endpoint])
-        assert code == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert len(stub.post_log) == 1
-
-    def test_over_deep_ocr_body_is_error(self, capsys, monkeypatch, tmp_path):
-        endpoint = "https://ocr.test/lines"
-        stub = StubTransport().add_post(endpoint, "[" * 200000)
-        monkeypatch.setattr(tweetback.ocr, "LiveTransport", lambda: stub)
-        image = tmp_path / "shot.png"
-        image.write_bytes(b"\x89PNG fake")
-        code = main(["verify", "--image", str(image), "--ocr-endpoint", endpoint])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: OCR response is not JSON")
-        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_live_run_without_requests_is_error(self, pam_ocr_path):
         code = """
@@ -256,6 +222,13 @@ class TestEvaluate:
     def test_empty_corpus_succeeds(self, capsys, tmp_path):
         assert main(["evaluate", "--corpus", str(tmp_path)]) == 0
 
+    def test_missing_corpus_is_error(self, capsys, tmp_path):
+        corpus = tmp_path / "typo"
+        assert main(["evaluate", "--corpus", str(corpus)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corpus {corpus} is not a directory\n"
+
     def test_pre_snowflake_document_is_a_true_negative(self, capsys, tmp_path):
         (tmp_path / "ocr").mkdir()
         (tmp_path / "ocr" / "old.txt").write_text(PRE_SNOWFLAKE_OCR)
@@ -279,6 +252,22 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["verify", "extract"])
+    @pytest.mark.parametrize("flag", ["--image", "--ocr-endpoint"])
+    def test_ocr_service_flags_are_usage_errors(
+            self, capsys, tmp_path, pam_ocr_path, pam_fixtures_dir, flag, command):
+        """Input is OCR text only: neither an image nor an OCR service is accepted."""
+        if flag == "--image":
+            image = tmp_path / "shot.png"
+            image.write_bytes(b"\x89PNG fake")
+            argv = [command, "--image", str(image)]
+        else:
+            argv = [command, "--ocr-text", str(pam_ocr_path),
+                    "--ocr-endpoint", "https://ocr.test/lines"]
+        if command == "verify":
+            argv += ["--fixtures", str(pam_fixtures_dir)]
+        assert main(argv) == EXIT_USAGE
 
     def test_exit_codes_are_distinct(self):
         codes = {EXIT_ARCHIVED, EXIT_NOT_FOUND, EXIT_ERROR, EXIT_USAGE}

@@ -219,6 +219,12 @@ class TestGroundTruthCsv:
         with pytest.raises(ValueError, match="'e01_alice_park' labelled twice"):
             load_ground_truth(path)
 
+    def test_byte_order_mark_is_dropped(self, eval_corpus_dir, tmp_path):
+        source = eval_corpus_dir / "ground_truth.csv"
+        path = tmp_path / "ground_truth.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert load_ground_truth(path) == load_ground_truth(source)
+
     def test_archived_truth_requires_id(self):
         with pytest.raises(ValueError):
             truth(state=ArchiveState.ARCHIVED, tweet_id=None)
@@ -321,6 +327,12 @@ class TestRunEvaluation:
         report = run_evaluation(tmp_path)
         assert report.record_count == 0
         assert report.timestamp_metrics.accuracy == 1.0
+
+    @pytest.mark.parametrize("name", ["typo", "ground_truth.csv"])
+    def test_corpus_that_is_not_a_directory_raises(self, tmp_path, name):
+        (tmp_path / "ground_truth.csv").write_text("source_id\n")
+        with pytest.raises(NotADirectoryError, match=name):
+            run_evaluation(tmp_path / name)
 
     def test_text_table_renders(self, eval_corpus_dir):
         table = run_evaluation(eval_corpus_dir).to_text_table()

@@ -1,23 +1,10 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import StubTransport
-from tweetback.ocr import (
-    InvalidEncodingError,
-    MalformedServiceResponseError,
-    OcrDocument,
-    OcrServiceConfig,
-    OcrServiceError,
-    load_text_document,
-    ocr_image,
-)
-
-ENDPOINT = "https://ocr.example.test/read"
+from tweetback.ocr import InvalidEncodingError, OcrDocument, load_text_document
 
 _safe_line = st.text(
     alphabet=st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
@@ -93,57 +80,3 @@ def test_raw_text_round_trip(lines):
     else:
         assert doc.raw_text == ""
 
-
-def test_ocr_service_config_requires_absolute_url():
-    with pytest.raises(ValueError):
-        OcrServiceConfig(endpoint="not-a-url")
-
-
-def test_ocr_image_passes_lines_through():
-    transport = StubTransport().add_post(ENDPOINT, json.dumps({"lines": ["x", "y"]}))
-    doc = ocr_image(b"PNGDATA", OcrServiceConfig(endpoint=ENDPOINT), transport)
-    assert doc.lines == ("x", "y")
-    url, data, headers = transport.post_log[0]
-    assert data == b"PNGDATA"
-    assert headers["Content-Type"] == "application/octet-stream"
-    assert "Authorization" not in headers
-
-
-def test_ocr_image_sends_bearer_token():
-    transport = StubTransport().add_post(ENDPOINT, json.dumps({"lines": []}))
-    config = OcrServiceConfig(endpoint=ENDPOINT, auth_token="sekrit")
-    ocr_image(b"img", config, transport)
-    _, _, headers = transport.post_log[0]
-    assert headers["Authorization"] == "Bearer sekrit"
-
-
-def test_ocr_image_http_error():
-    transport = StubTransport().add_post(ENDPOINT, "denied", status=401)
-    with pytest.raises(OcrServiceError) as excinfo:
-        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
-    assert excinfo.value.status == 401
-
-
-@pytest.mark.parametrize("body", ["not json", '{"nope": 1}', '{"lines": [1, 2]}'])
-def test_ocr_image_malformed_response(body):
-    transport = StubTransport().add_post(ENDPOINT, body)
-    with pytest.raises(MalformedServiceResponseError):
-        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
-
-
-def test_ocr_image_over_deep_body_is_malformed():
-    transport = StubTransport().add_post(ENDPOINT, "[" * 200000)
-    with pytest.raises(MalformedServiceResponseError, match="OCR response is not JSON"):
-        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
-
-
-@pytest.mark.parametrize("line", ["a\nb", "a\rb"])
-def test_ocr_image_line_with_newline_is_malformed(line):
-    transport = StubTransport().add_post(ENDPOINT, json.dumps({"lines": ["ok", line]}))
-    with pytest.raises(MalformedServiceResponseError, match="newline"):
-        ocr_image(b"img", OcrServiceConfig(endpoint=ENDPOINT), transport)
-
-
-def test_ocr_image_rejects_empty_image():
-    with pytest.raises(ValueError):
-        ocr_image(b"", OcrServiceConfig(endpoint=ENDPOINT), StubTransport())
